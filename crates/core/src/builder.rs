@@ -5,13 +5,16 @@
 //! that conversion for any number of relations at once, so both join sides
 //! share one element universe, one weight assignment, and one global order:
 //!
-//! 1. tokens are interned across all relations;
+//! 1. tokens are interned across all relations, as each relation is added,
+//!    from borrowed `&str`s ([`SsJoinInputBuilder::add_relation_by`]);
 //! 2. multisets are ordinalized (§4.3.1): occurrence *i* of token *t*
 //!    becomes the element *(t, i)*;
 //! 3. element weights are assigned (unweighted, or IDF over value
 //!    frequencies exactly as §5 describes);
 //! 4. the global order `O` is fixed (ascending frequency by default,
-//!    §4.3.2) and every element is renamed to its dense *rank* in `O`.
+//!    §4.3.2) and every element is renamed to its dense *rank* in `O`;
+//! 5. each relation's CSR arena is written straight from the flat array of
+//!    element ids the intern pass recorded.
 
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::hash::FxHashMap;
@@ -68,17 +71,141 @@ pub enum NormKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelationHandle(usize);
 
-struct RelationData {
-    groups: Vec<Vec<String>>,
+/// A relation added to the builder: a run of consecutive groups plus the
+/// way their norms are derived.
+struct RelationSpan {
+    groups: std::ops::Range<usize>,
     norm: NormKind,
+}
+
+/// Per-token state of the intern pass, indexed by dense token id.
+#[derive(Clone, Copy)]
+struct TokenState {
+    /// The group that last contained the token (stamp).
+    group: usize,
+    /// Groups containing the token: the frequency of element `(token, 1)`.
+    groups: usize,
+    /// Occurrences of the token in that group so far: the ordinal of the
+    /// latest one.
+    count: u32,
+    /// Element id of `(token, 1)`, created when the token is first seen.
+    first_eid: u32,
+}
+
+/// The fused intern pass: tokens become dense ids, occurrences become
+/// ordinalized elements `(tid, ordinal)` with dense element ids (eids) in
+/// first-seen order, and every group's eids are appended to one flat array.
+#[derive(Default)]
+struct Interner {
+    /// Each distinct token's bytes, stored once, keyed to its dense id.
+    token_ids: FxHashMap<Box<str>, u32>,
+    tokens: Vec<TokenState>,
+    /// `(tid, ordinal) → eid` for ordinals ≥ 2; ordinal 1 is
+    /// `tokens[tid].first_eid`.
+    repeat_eids: FxHashMap<(u32, u32), u32>,
+    /// eid → `(tid, ordinal)`.
+    elements: Vec<(u32, u32)>,
+    /// eid → number of groups containing the element, for ordinals ≥ 2
+    /// (an ordinal-1 element's count is its token's `groups`).
+    element_freq: Vec<usize>,
+    /// Every group's eids, group-major, in occurrence order.
+    eids: Vec<u32>,
+    /// Group `g` owns `eids[group_offsets[g]..group_offsets[g + 1]]`.
+    group_offsets: Vec<usize>,
+    /// The first id-space overflow, reported by `build`.
+    overflow: Option<SsJoinError>,
+}
+
+impl Interner {
+    fn new() -> Self {
+        Self {
+            group_offsets: vec![0],
+            ..Self::default()
+        }
+    }
+
+    fn groups(&self) -> usize {
+        self.group_offsets.len() - 1
+    }
+
+    /// A new element id for `key`, or `None` (recording the overflow) when
+    /// the `u32` element space is exhausted.
+    fn new_element(&mut self, key: (u32, u32)) -> Option<u32> {
+        if self.elements.len() >= u32::MAX as usize {
+            self.overflow.get_or_insert(SsJoinError::TooManyElements {
+                elements: self.elements.len() + 1,
+            });
+            return None;
+        }
+        self.elements.push(key);
+        self.element_freq.push(0);
+        Some((self.elements.len() - 1) as u32)
+    }
+
+    /// Intern one token occurrence of the current group.
+    fn push(&mut self, token: &str) {
+        let group = self.groups();
+        let tid = match self.token_ids.get(token) {
+            Some(&tid) => tid,
+            None => {
+                // Every token owns an element, so the element-space check
+                // also keeps token ids inside u32.
+                let tid = self.tokens.len() as u32;
+                let Some(first_eid) = self.new_element((tid, 1)) else {
+                    return;
+                };
+                self.token_ids.insert(token.into(), tid);
+                self.tokens.push(TokenState {
+                    group: usize::MAX,
+                    groups: 0,
+                    count: 0,
+                    first_eid,
+                });
+                tid
+            }
+        };
+        let state = &mut self.tokens[tid as usize];
+        if state.group != group {
+            state.group = group;
+            state.groups += 1;
+            state.count = 1;
+            self.eids.push(state.first_eid);
+            return;
+        }
+        state.count += 1;
+        let key = (tid, state.count);
+        let eid = match self.repeat_eids.get(&key) {
+            Some(&eid) => eid,
+            None => {
+                let Some(eid) = self.new_element(key) else {
+                    return;
+                };
+                self.repeat_eids.insert(key, eid);
+                eid
+            }
+        };
+        self.element_freq[eid as usize] += 1;
+        self.eids.push(eid);
+    }
+
+    fn end_group(&mut self) {
+        self.group_offsets.push(self.eids.len());
+    }
 }
 
 /// Builds [`SetCollection`]s sharing one universe, weight assignment, and
 /// global element order.
+///
+/// Tokens are interned as relations are added, from borrowed `&str`s
+/// ([`SsJoinInputBuilder::add_relation_by`]): the builder keeps one copy of
+/// each distinct token and one flat array of element ids, never a token
+/// list per group. A self-join adds its data once and uses the one
+/// collection as both sides.
 pub struct SsJoinInputBuilder {
     scheme: WeightScheme,
     order: ElementOrder,
-    relations: Vec<RelationData>,
+    relations: Vec<RelationSpan>,
+    interner: Interner,
 }
 
 impl SsJoinInputBuilder {
@@ -88,6 +215,7 @@ impl SsJoinInputBuilder {
             scheme,
             order,
             relations: Vec::new(),
+            interner: Interner::new(),
         }
     }
 
@@ -107,8 +235,39 @@ impl SsJoinInputBuilder {
         groups: Vec<Vec<String>>,
         norm: NormKind,
     ) -> RelationHandle {
+        self.add_relation_by(groups.len(), norm, |g, emit| {
+            groups[g].iter().for_each(|t| emit(t));
+        })
+    }
+
+    /// Add a relation of `groups` groups whose tokens are streamed:
+    /// `tokens_of(g, emit)` must call `emit` once per token of group `g`, in
+    /// order. Tokens are interned as they arrive, so they may borrow from
+    /// the caller's strings or a scratch buffer — a tokenizer's
+    /// `for_each_token` fits directly.
+    ///
+    /// `NormKind::Custom` norms must have one value per group, validated by
+    /// [`SsJoinInputBuilder::build`].
+    pub fn add_relation_by<F>(
+        &mut self,
+        groups: usize,
+        norm: NormKind,
+        mut tokens_of: F,
+    ) -> RelationHandle
+    where
+        F: FnMut(usize, &mut dyn FnMut(&str)),
+    {
         let handle = RelationHandle(self.relations.len());
-        self.relations.push(RelationData { groups, norm });
+        let first = self.interner.groups();
+        let interner = &mut self.interner;
+        for g in 0..groups {
+            tokens_of(g, &mut |token| interner.push(token));
+            interner.end_group();
+        }
+        self.relations.push(RelationSpan {
+            groups: first..first + groups,
+            norm,
+        });
         handle
     }
 
@@ -129,99 +288,60 @@ impl SsJoinInputBuilder {
         // Group ids must stay strictly below u32::MAX because executors use
         // u32::MAX as a stamp-array sentinel.
         for (ri, rel) in self.relations.iter().enumerate() {
-            if rel.groups.len() >= u32::MAX as usize {
+            let groups = rel.groups.len();
+            if groups >= u32::MAX as usize {
                 return Err(SsJoinError::TooManyGroups {
                     relation: ri,
-                    groups: rel.groups.len(),
+                    groups,
                 });
             }
             if let NormKind::Custom(norms) = &rel.norm {
-                if norms.len() != rel.groups.len() {
+                if norms.len() != groups {
                     return Err(SsJoinError::InvalidInput(format!(
                         "custom norms must have one value per group: relation {ri} \
-                         has {} groups but {} norms",
-                        rel.groups.len(),
+                         has {groups} groups but {} norms",
                         norms.len()
                     )));
                 }
             }
         }
-
-        // Pass 1: intern tokens and ordinalized elements; count frequencies.
-        let mut token_ids: FxHashMap<String, u32> = FxHashMap::default();
-        let mut tokens: Vec<String> = Vec::new();
-        let mut element_ids: FxHashMap<(u32, u32), u32> = FxHashMap::default();
-        let mut elements: Vec<(u32, u32)> = Vec::new(); // eid -> (tid, ordinal)
-        let mut element_freq: Vec<usize> = Vec::new(); // groups containing eid
-        let mut token_freq: Vec<usize> = Vec::new(); // groups containing tid
-                                                     // Per-group element lists (eids), per relation.
-        let mut rel_groups: Vec<Vec<Vec<u32>>> = Vec::with_capacity(self.relations.len());
-        let total_groups: usize = self.relations.iter().map(|r| r.groups.len()).sum();
-
-        let mut occurrence_counter: FxHashMap<u32, u32> = FxHashMap::default();
-        for rel in &self.relations {
-            let mut groups_out = Vec::with_capacity(rel.groups.len());
-            for group in &rel.groups {
-                occurrence_counter.clear();
-                let mut eids = Vec::with_capacity(group.len());
-                for token in group {
-                    let tid = match token_ids.get(token.as_str()) {
-                        Some(&t) => t,
-                        None => {
-                            if tokens.len() >= u32::MAX as usize {
-                                return Err(SsJoinError::TooManyElements {
-                                    elements: tokens.len() + 1,
-                                });
-                            }
-                            let t = tokens.len() as u32;
-                            tokens.push(token.clone());
-                            token_ids.insert(token.clone(), t);
-                            token_freq.push(0);
-                            t
-                        }
-                    };
-                    let ord = occurrence_counter.entry(tid).or_insert(0);
-                    *ord += 1;
-                    if *ord == 1 {
-                        token_freq[tid as usize] += 1;
-                    }
-                    let key = (tid, *ord);
-                    let eid = match element_ids.get(&key) {
-                        Some(&e) => e,
-                        None => {
-                            if elements.len() >= u32::MAX as usize {
-                                return Err(SsJoinError::TooManyElements {
-                                    elements: elements.len() + 1,
-                                });
-                            }
-                            let e = elements.len() as u32;
-                            elements.push(key);
-                            element_ids.insert(key, e);
-                            element_freq.push(0);
-                            e
-                        }
-                    };
-                    element_freq[eid as usize] += 1;
-                    eids.push(eid);
-                }
-                groups_out.push(eids);
-            }
-            rel_groups.push(groups_out);
+        let Interner {
+            token_ids,
+            tokens: token_states,
+            elements,
+            mut element_freq,
+            eids,
+            group_offsets,
+            overflow,
+            ..
+        } = self.interner;
+        if let Some(err) = overflow {
+            return Err(err);
         }
 
-        // Weights per element (by eid), from the token-level scheme.
-        let weights_by_eid: Vec<Weight> = elements
+        // Token bytes by dense id, moved out of the intern table.
+        let mut tokens: Vec<Box<str>> = vec![Box::default(); token_ids.len()];
+        for (token, tid) in token_ids {
+            tokens[tid as usize] = token;
+        }
+
+        // The groups containing a token are those containing its ordinal-1
+        // element; the weight scheme works off that token frequency.
+        for state in &token_states {
+            element_freq[state.first_eid as usize] = state.groups;
+        }
+        let total_groups = group_offsets.len() - 1;
+        let token_weights: Vec<Weight> = token_states
             .iter()
-            .map(|&(tid, _)| match self.scheme {
-                WeightScheme::Unweighted => Weight::ONE,
-                WeightScheme::Idf => {
-                    let ft = token_freq[tid as usize].max(1) as f64;
-                    Weight::from_f64((1.0 + total_groups as f64 / ft).ln())
-                }
-                WeightScheme::IdfSquared => {
-                    let ft = token_freq[tid as usize].max(1) as f64;
-                    let idf = (1.0 + total_groups as f64 / ft).ln();
-                    Weight::from_f64(idf * idf)
+            .map(|state| {
+                let ft = state.groups.max(1) as f64;
+                match self.scheme {
+                    WeightScheme::Unweighted => Weight::ONE,
+                    WeightScheme::Idf => Weight::from_f64((1.0 + total_groups as f64 / ft).ln()),
+                    WeightScheme::IdfSquared => {
+                        let idf = (1.0 + total_groups as f64 / ft).ln();
+                        Weight::from_f64(idf * idf)
+                    }
                 }
             })
             .collect();
@@ -237,47 +357,59 @@ impl SsJoinInputBuilder {
             )
         });
         let mut rank_of_eid = vec![0u32; elements.len()];
+        let mut element_meta = Vec::with_capacity(elements.len());
+        let mut weights_by_rank = Vec::with_capacity(elements.len());
         for (rank, &eid) in order_keys.iter().enumerate() {
             rank_of_eid[eid as usize] = rank as u32;
+            let (tid, ord) = elements[eid as usize];
+            element_meta.push((tid, ord));
+            weights_by_rank.push(token_weights[tid as usize]);
         }
 
-        // Element metadata in rank order.
-        let mut element_meta: Vec<(String, u32)> = vec![(String::new(), 0); elements.len()];
-        let mut weights_by_rank: Vec<Weight> = vec![Weight::ZERO; elements.len()];
-        for (eid, &(tid, ord)) in elements.iter().enumerate() {
-            let rank = rank_of_eid[eid] as usize;
-            element_meta[rank] = (tokens[tid as usize].clone(), ord);
-            weights_by_rank[rank] = weights_by_eid[eid];
-        }
-
-        // Pass 2: build collections.
+        // Each relation's CSR arena, straight from the flat eid array.
         let universe = elements.len();
         let mut collections = Vec::with_capacity(self.relations.len());
-        for (rel, groups) in self.relations.iter().zip(rel_groups) {
-            let mut sets = Vec::with_capacity(groups.len());
-            for (gi, eids) in groups.iter().enumerate() {
-                let elems: Vec<(u32, Weight)> = eids
-                    .iter()
-                    .map(|&eid| (rank_of_eid[eid as usize], weights_by_eid[eid as usize]))
-                    .collect();
-                let norm = match &rel.norm {
-                    NormKind::TotalWeight => elems.iter().map(|&(_, w)| w).sum::<Weight>().to_f64(),
-                    NormKind::SqrtTotalWeight => elems
-                        .iter()
-                        .map(|&(_, w)| w)
-                        .sum::<Weight>()
-                        .to_f64()
-                        .sqrt(),
-                    NormKind::Cardinality => elems.len() as f64,
-                    NormKind::Custom(norms) => norms[gi],
-                };
-                sets.push((elems, norm));
+        for rel in &self.relations {
+            let (lo, hi) = (
+                group_offsets[rel.groups.start],
+                group_offsets[rel.groups.end],
+            );
+            if hi - lo > u32::MAX as usize {
+                return Err(SsJoinError::TooManyElements { elements: hi - lo });
             }
-            collections.push(SetCollection::from_sets(sets, universe, tag)?);
+            let elems: Vec<(u32, Weight)> = eids[lo..hi]
+                .iter()
+                .map(|&eid| {
+                    let rank = rank_of_eid[eid as usize];
+                    (rank, weights_by_rank[rank as usize])
+                })
+                .collect();
+            let offsets: Vec<u32> = group_offsets[rel.groups.start..=rel.groups.end]
+                .iter()
+                .map(|&o| (o - lo) as u32)
+                .collect();
+            let norms: Vec<f64> = offsets
+                .windows(2)
+                .enumerate()
+                .map(|(gi, w)| {
+                    let set = &elems[w[0] as usize..w[1] as usize];
+                    let total = || set.iter().map(|&(_, w)| w).sum::<Weight>().to_f64();
+                    match &rel.norm {
+                        NormKind::TotalWeight => total(),
+                        NormKind::SqrtTotalWeight => total().sqrt(),
+                        NormKind::Cardinality => set.len() as f64,
+                        NormKind::Custom(norms) => norms[gi],
+                    }
+                })
+                .collect();
+            collections.push(SetCollection::from_flat(
+                offsets, elems, norms, universe, tag,
+            )?);
         }
 
         Ok(BuiltInput {
             collections,
+            tokens,
             element_meta,
             weights_by_rank,
         })
@@ -289,8 +421,10 @@ impl SsJoinInputBuilder {
 #[derive(Debug)]
 pub struct BuiltInput {
     collections: Vec<SetCollection>,
-    /// `(token, ordinal)` per rank.
-    element_meta: Vec<(String, u32)>,
+    /// Token text by token id.
+    tokens: Vec<Box<str>>,
+    /// `(token id, ordinal)` per rank.
+    element_meta: Vec<(u32, u32)>,
     /// Weight per rank.
     weights_by_rank: Vec<Weight>,
 }
@@ -311,14 +445,17 @@ impl BuiltInput {
         self.collections
     }
 
-    /// Reassemble a built input from its parts (deserialization).
+    /// Reassemble a built input from its parts (deserialization). Every
+    /// `element_meta` token id must index `tokens`.
     pub(crate) fn from_parts(
         collections: Vec<SetCollection>,
-        element_meta: Vec<(String, u32)>,
+        tokens: Vec<Box<str>>,
+        element_meta: Vec<(u32, u32)>,
         weights_by_rank: Vec<Weight>,
     ) -> Self {
         Self {
             collections,
+            tokens,
             element_meta,
             weights_by_rank,
         }
@@ -331,8 +468,8 @@ impl BuiltInput {
 
     /// The `(token, ordinal)` a rank denotes.
     pub fn element(&self, rank: u32) -> (&str, u32) {
-        let (t, o) = &self.element_meta[rank as usize];
-        (t.as_str(), *o)
+        let (tid, ord) = self.element_meta[rank as usize];
+        (&self.tokens[tid as usize], ord)
     }
 
     /// The weight of the element at `rank`.
@@ -343,10 +480,21 @@ impl BuiltInput {
     /// A [`QueryEncoder`] over this build's frozen universe, for encoding
     /// streamed queries against a prebuilt [`crate::CorpusIndex`].
     pub fn query_encoder(&self) -> QueryEncoder {
-        let mut ids: FxHashMap<String, Vec<u32>> = FxHashMap::default();
-        for (rank, (token, ord)) in self.element_meta.iter().enumerate() {
-            let slots = ids.entry(token.clone()).or_default();
-            let idx = (*ord as usize).saturating_sub(1);
+        let mut ids: FxHashMap<Box<str>, u32> = FxHashMap::default();
+        let mut ranks: Vec<Vec<u32>> = Vec::new();
+        for (rank, &(tid, ord)) in self.element_meta.iter().enumerate() {
+            let token = &*self.tokens[tid as usize];
+            let id = match ids.get(token) {
+                Some(&id) => id,
+                None => {
+                    let id = ranks.len() as u32;
+                    ids.insert(token.into(), id);
+                    ranks.push(Vec::new());
+                    id
+                }
+            };
+            let slots = &mut ranks[id as usize];
+            let idx = (ord as usize).saturating_sub(1);
             if slots.len() <= idx {
                 slots.resize(idx + 1, u32::MAX);
             }
@@ -354,6 +502,7 @@ impl BuiltInput {
         }
         QueryEncoder {
             ids,
+            ranks,
             weights: self.weights_by_rank.clone(),
             universe_size: self.element_meta.len(),
             universe_tag: self
@@ -382,8 +531,11 @@ impl BuiltInput {
 /// workloads under those schemes.
 #[derive(Debug, Clone)]
 pub struct QueryEncoder {
-    /// token -> rank per ordinal (index `ord - 1`).
-    ids: FxHashMap<String, Vec<u32>>,
+    /// token -> encoder token id.
+    ids: FxHashMap<Box<str>, u32>,
+    /// encoder token id -> rank per ordinal (index `ord - 1`; `u32::MAX`
+    /// for a missing ordinal).
+    ranks: Vec<Vec<u32>>,
     weights: Vec<Weight>,
     universe_size: usize,
     universe_tag: u64,
@@ -393,11 +545,51 @@ impl QueryEncoder {
     /// Look up the rank of `(token, ordinal)` in the frozen universe.
     /// Ordinals are 1-based, matching §4.3.1 ordinalization.
     pub fn rank_of(&self, token: &str, ordinal: u32) -> Option<u32> {
-        self.ids
-            .get(token)
-            .and_then(|slots| slots.get((ordinal as usize).checked_sub(1)?))
+        let &id = self.ids.get(token)?;
+        self.rank_of_id(id, ordinal)
+    }
+
+    fn rank_of_id(&self, id: u32, ordinal: u32) -> Option<u32> {
+        self.ranks[id as usize]
+            .get((ordinal as usize).checked_sub(1)?)
             .copied()
             .filter(|&r| r != u32::MAX)
+    }
+
+    /// Encode one streamed token group, appending its known `(rank,
+    /// weight)` elements to `out` in occurrence order; returns the number of
+    /// tokens streamed, known or not. `occurrence` is scratch.
+    fn encode_into(
+        &self,
+        tokens: impl FnOnce(&mut dyn FnMut(&str)),
+        occurrence: &mut FxHashMap<u32, u32>,
+        out: &mut Vec<(u32, Weight)>,
+    ) -> usize {
+        occurrence.clear();
+        let mut streamed = 0;
+        tokens(&mut |token| {
+            streamed += 1;
+            let Some(&id) = self.ids.get(token) else {
+                return;
+            };
+            let ord = occurrence.entry(id).or_insert(0);
+            *ord += 1;
+            if let Some(rank) = self.rank_of_id(id, *ord) {
+                out.push((rank, self.weights[rank as usize]));
+            }
+        });
+        streamed
+    }
+
+    /// Encode one token multiset, streamed as borrowed tokens (`tokens`
+    /// calls its argument once per token, in order — a tokenizer's
+    /// `for_each_token` fits directly), into `(rank, weight)` elements,
+    /// dropping tokens outside the frozen universe. Elements come back in
+    /// occurrence order.
+    pub fn encode_group_by(&self, tokens: impl FnOnce(&mut dyn FnMut(&str))) -> Vec<(u32, Weight)> {
+        let mut elems = Vec::new();
+        self.encode_into(tokens, &mut FxHashMap::default(), &mut elems);
+        elems
     }
 
     /// Encode one token multiset into `(rank, weight)` elements, dropping
@@ -405,16 +597,7 @@ impl QueryEncoder {
     /// order; [`QueryEncoder::encode`] (via the collection constructor)
     /// handles sorting.
     pub fn encode_group(&self, group: &[String]) -> Vec<(u32, Weight)> {
-        let mut occurrence: FxHashMap<&str, u32> = FxHashMap::default();
-        let mut elems = Vec::with_capacity(group.len());
-        for token in group {
-            let ord = occurrence.entry(token.as_str()).or_insert(0);
-            *ord += 1;
-            if let Some(rank) = self.rank_of(token, *ord) {
-                elems.push((rank, self.weights[rank as usize]));
-            }
-        }
-        elems
+        self.encode_group_by(|emit| group.iter().for_each(|t| emit(t)))
     }
 
     /// Encode token groups into a [`SetCollection`] sharing the frozen
@@ -425,33 +608,64 @@ impl QueryEncoder {
     /// Returns [`SsJoinError::InvalidInput`] when `NormKind::Custom` norms
     /// do not have one value per group.
     pub fn encode(&self, groups: &[Vec<String>], norm: NormKind) -> SsJoinResult<SetCollection> {
+        self.encode_by(groups.len(), norm, |g, emit| {
+            groups[g].iter().for_each(|t| emit(t))
+        })
+    }
+
+    /// [`QueryEncoder::encode`] over `groups` streamed groups:
+    /// `tokens_of(g, emit)` calls `emit` once per token of group `g`, in
+    /// order, exactly as [`SsJoinInputBuilder::add_relation_by`] takes them.
+    ///
+    /// # Errors
+    /// Returns [`SsJoinError::InvalidInput`] when `NormKind::Custom` norms
+    /// do not have one value per group, and [`SsJoinError::TooManyElements`]
+    /// when the batch overflows the `u32` arena.
+    pub fn encode_by<F>(
+        &self,
+        groups: usize,
+        norm: NormKind,
+        mut tokens_of: F,
+    ) -> SsJoinResult<SetCollection>
+    where
+        F: FnMut(usize, &mut dyn FnMut(&str)),
+    {
         if let NormKind::Custom(norms) = &norm {
-            if norms.len() != groups.len() {
+            if norms.len() != groups {
                 return Err(SsJoinError::InvalidInput(format!(
                     "custom norms must have one value per group: \
-                     {} groups but {} norms",
-                    groups.len(),
+                     {groups} groups but {} norms",
                     norms.len()
                 )));
             }
         }
-        let mut sets = Vec::with_capacity(groups.len());
-        for (gi, group) in groups.iter().enumerate() {
-            let elems = self.encode_group(group);
-            let norm_value = match &norm {
-                NormKind::TotalWeight => elems.iter().map(|&(_, w)| w).sum::<Weight>().to_f64(),
-                NormKind::SqrtTotalWeight => elems
+        let mut occurrence = FxHashMap::default();
+        let mut elems = Vec::new();
+        let mut offsets = Vec::with_capacity(groups + 1);
+        offsets.push(0u32);
+        let mut norms = Vec::with_capacity(groups);
+        for g in 0..groups {
+            let start = elems.len();
+            let streamed = self.encode_into(|emit| tokens_of(g, emit), &mut occurrence, &mut elems);
+            let total = || {
+                elems[start..]
                     .iter()
                     .map(|&(_, w)| w)
                     .sum::<Weight>()
                     .to_f64()
-                    .sqrt(),
-                NormKind::Cardinality => group.len() as f64,
-                NormKind::Custom(norms) => norms[gi],
             };
-            sets.push((elems, norm_value));
+            norms.push(match &norm {
+                NormKind::TotalWeight => total(),
+                NormKind::SqrtTotalWeight => total().sqrt(),
+                NormKind::Cardinality => streamed as f64,
+                NormKind::Custom(norms) => norms[g],
+            });
+            let end = u32::try_from(elems.len()).map_err(|_| SsJoinError::TooManyElements {
+                elements: elems.len(),
+            })?;
+            offsets.push(end);
         }
-        SetCollection::from_sets(sets, self.universe_size, self.universe_tag)
+        SetCollection::from_flat(offsets, elems, norms, self.universe_size, self.universe_tag)
     }
 
     /// Number of distinct elements in the frozen universe.
@@ -476,6 +690,33 @@ mod tests {
         let c = built.collection(h);
         assert_eq!(c.len(), 2);
         assert_eq!(c.set(0).overlap(c.set(1)), Weight::from_f64(2.0));
+    }
+
+    #[test]
+    fn streamed_tokens_may_borrow_a_reused_buffer() {
+        // The builder copies a token's bytes when it first sees it, so the
+        // caller may overwrite its buffer between emits.
+        let groups = vec![toks(&["x", "y", "x"]), toks(&[]), toks(&["y", "z"])];
+        let mut owned = SsJoinInputBuilder::new(WeightScheme::Idf, ElementOrder::FrequencyAsc);
+        let oh = owned.add_relation(groups.clone());
+        let owned = owned.build().unwrap();
+        let mut b = SsJoinInputBuilder::new(WeightScheme::Idf, ElementOrder::FrequencyAsc);
+        let mut buf = String::new();
+        let h = b.add_relation_by(groups.len(), NormKind::TotalWeight, |g, emit| {
+            for t in &groups[g] {
+                buf.clear();
+                buf.push_str(t);
+                emit(&buf);
+            }
+        });
+        let built = b.build().unwrap();
+        assert_eq!(built.universe_size(), owned.universe_size());
+        for rank in 0..built.universe_size() as u32 {
+            assert_eq!(built.element(rank), owned.element(rank));
+        }
+        for (a, b) in built.collection(h).iter().zip(owned.collection(oh).iter()) {
+            assert_eq!(a, b);
+        }
     }
 
     #[test]

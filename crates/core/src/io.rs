@@ -108,9 +108,12 @@ pub fn load_built_input<P: AsRef<Path>>(path: P) -> SsJoinResult<BuiltInput> {
         return Err(bad("unsupported SSJoin input file version"));
     }
     let universe = r_u64(&mut r)? as usize;
-    let mut element_meta = Vec::with_capacity(universe);
-    let mut weights = Vec::with_capacity(universe);
-    for _ in 0..universe {
+    // Lengths read from the file size nothing up front: a corrupt count
+    // must fail on the short read, not on a huge allocation.
+    let mut tokens: Vec<Box<str>> = Vec::new();
+    let mut element_meta = Vec::new();
+    let mut weights = Vec::new();
+    for rank in 0..universe {
         let len = r_u32(&mut r)? as usize;
         if len > 1 << 24 {
             return Err(bad("token length out of range"));
@@ -119,19 +122,24 @@ pub fn load_built_input<P: AsRef<Path>>(path: P) -> SsJoinResult<BuiltInput> {
         r.read_exact(&mut buf)?;
         let token = String::from_utf8(buf).map_err(|_| bad("token is not valid UTF-8"))?;
         let ordinal = r_u32(&mut r)?;
-        element_meta.push((token, ordinal));
+        if ordinal == 0 || ordinal as usize > universe {
+            return Err(bad("element ordinal out of range"));
+        }
+        tokens.push(token.into_boxed_str());
+        element_meta.push((rank as u32, ordinal));
         weights.push(Weight::from_raw(r_u64(&mut r)?));
     }
     let tag = crate::builder::fresh_universe_tag();
     let n_collections = r_u32(&mut r)? as usize;
-    let mut collections = Vec::with_capacity(n_collections);
+    let mut collections = Vec::new();
     for _ in 0..n_collections {
-        let n_sets = r_u64(&mut r)? as usize;
-        let mut sets = Vec::with_capacity(n_sets);
+        let n_sets = r_u64(&mut r)?;
+        let mut offsets = vec![0u32];
+        let mut elements = Vec::new();
+        let mut norms = Vec::new();
         for _ in 0..n_sets {
-            let norm = r_f64(&mut r)?;
-            let len = r_u32(&mut r)? as usize;
-            let mut elements = Vec::with_capacity(len);
+            norms.push(r_f64(&mut r)?);
+            let len = r_u32(&mut r)?;
             for _ in 0..len {
                 let rank = r_u32(&mut r)?;
                 if rank as usize >= universe {
@@ -139,11 +147,21 @@ pub fn load_built_input<P: AsRef<Path>>(path: P) -> SsJoinResult<BuiltInput> {
                 }
                 elements.push((rank, Weight::from_raw(r_u64(&mut r)?)));
             }
-            sets.push((elements, norm));
+            let end = u32::try_from(elements.len()).map_err(|_| SsJoinError::TooManyElements {
+                elements: elements.len(),
+            })?;
+            offsets.push(end);
         }
-        collections.push(SetCollection::from_sets(sets, universe, tag)?);
+        collections.push(SetCollection::from_flat(
+            offsets, elements, norms, universe, tag,
+        )?);
     }
-    Ok(BuiltInput::from_parts(collections, element_meta, weights))
+    Ok(BuiltInput::from_parts(
+        collections,
+        tokens,
+        element_meta,
+        weights,
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -350,6 +368,45 @@ mod tests {
         let path = temp_path("garbage.ssjn");
         std::fs::write(&path, b"not an ssjoin file at all").unwrap();
         assert!(load_built_input(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn rejects_bad_ordinals_and_oversized_counts() {
+        // One element ("a", ordinal) followed by `tail`.
+        let file = |ordinal: u32, tail: &[u8]| {
+            let mut b = Vec::new();
+            b.extend_from_slice(MAGIC);
+            b.extend_from_slice(&VERSION.to_le_bytes());
+            b.extend_from_slice(&1u64.to_le_bytes());
+            b.extend_from_slice(&1u32.to_le_bytes());
+            b.push(b'a');
+            b.extend_from_slice(&ordinal.to_le_bytes());
+            b.extend_from_slice(&Weight::ONE.raw().to_le_bytes());
+            b.extend_from_slice(tail);
+            b
+        };
+        let path = temp_path("bad_meta.ssjn");
+        for ordinal in [0, 2, u32::MAX] {
+            std::fs::write(&path, file(ordinal, &0u32.to_le_bytes())).unwrap();
+            let err = load_built_input(&path).unwrap_err();
+            assert!(
+                matches!(err, SsJoinError::Io(ref m) if m.contains("ordinal")),
+                "{err:?}"
+            );
+        }
+        // Counts claiming far more collections, sets and elements than the
+        // file holds fail on the short read instead of allocating for them.
+        let mut tail = u32::MAX.to_le_bytes().to_vec();
+        tail.extend_from_slice(&u64::MAX.to_le_bytes());
+        tail.extend_from_slice(&1.0f64.to_le_bytes());
+        tail.extend_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, file(1, &tail)).unwrap();
+        assert!(matches!(load_built_input(&path), Err(SsJoinError::Io(_))));
+        std::fs::write(&path, file(1, &0u32.to_le_bytes())).unwrap();
+        let loaded = load_built_input(&path).unwrap();
+        assert_eq!(loaded.element(0), ("a", 1));
+        assert!(loaded.collections().is_empty());
         std::fs::remove_file(&path).ok();
     }
 

@@ -323,7 +323,7 @@ mod tests {
     }
 
     fn pair(a: &[(u32, f64)], b: &[(u32, f64)]) -> SetCollection {
-        SetCollection::from_sets(
+        crate::set::collection_from_sets(
             vec![
                 (a.iter().map(|&(r, x)| (r, w(x))).collect(), 0.0),
                 (b.iter().map(|&(r, x)| (r, w(x))).collect(), 0.0),

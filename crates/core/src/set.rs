@@ -330,6 +330,17 @@ fn len_bucket(len: usize) -> usize {
     }
 }
 
+/// Reject a rank-sorted element list with a repeated rank.
+fn reject_duplicate_ranks(sorted: &[(u32, Weight)]) -> SsJoinResult<()> {
+    match sorted.windows(2).find(|w| w[0].0 == w[1].0) {
+        Some(w) => Err(SsJoinError::InvalidInput(format!(
+            "duplicate rank {}; ordinalize multisets first",
+            w[0].0
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Catalog-style statistics a [`SetCollection`] maintains as sets are added,
 /// consumed by the cost-based planner (`exec::auto`):
 ///
@@ -474,100 +485,121 @@ pub struct SetCollection {
 }
 
 impl SetCollection {
-    /// Build the arena from per-set `(elements, norm)` pairs; sorts and
-    /// validates each element list and computes all derived state (totals,
-    /// suffix weight tables, bitmap signatures, minimum weights, the cached
-    /// norm range) in one pass, so every construction path — builder or
-    /// deserialization — gets it consistently.
+    /// An empty arena over a universe of `universe_size` ranks.
+    fn empty(universe_size: usize, universe_tag: u64) -> Self {
+        Self {
+            offsets: vec![0],
+            ranks: Vec::new(),
+            weights: Vec::new(),
+            suffix: Vec::new(),
+            norms: Vec::new(),
+            totals: Vec::new(),
+            sig_words: Vec::new(),
+            min_weights: Vec::new(),
+            universe_size,
+            universe_tag,
+            norm_range: None,
+            stats: CollectionStats::new(universe_size, universe_tag),
+        }
+    }
+
+    /// Build the arena from flat CSR input: set `i` holds the elements
+    /// `elements[offsets[i]..offsets[i + 1]]`, in any order, and has norm
+    /// `norms[i]`. Each set's elements are sorted by rank in place and
+    /// validated, and all derived state (totals, suffix weight tables,
+    /// bitmap signatures, minimum weights, the cached norm range, planner
+    /// statistics) is computed in one pass, so every construction path —
+    /// builder, query encoder, deserialization — gets it consistently.
     ///
     /// # Errors
     /// Returns [`SsJoinError::InvalidInput`] on duplicate ranks within a set
-    /// — callers must ordinalize multisets first — and
+    /// — callers must ordinalize multisets first — or on offsets that do not
+    /// delimit `elements` into `norms.len()` sets, and
     /// [`SsJoinError::TooManyElements`] if the total element count overflows
     /// the `u32` offset space.
-    pub(crate) fn from_sets(
-        sets: Vec<(Vec<(u32, Weight)>, f64)>,
+    pub(crate) fn from_flat(
+        offsets: Vec<u32>,
+        mut elements: Vec<(u32, Weight)>,
+        norms: Vec<f64>,
         universe_size: usize,
         universe_tag: u64,
     ) -> SsJoinResult<Self> {
-        let tuple_count: usize = sets.iter().map(|(e, _)| e.len()).sum();
-        if tuple_count > u32::MAX as usize {
+        if elements.len() > u32::MAX as usize {
             return Err(SsJoinError::TooManyElements {
-                elements: tuple_count,
+                elements: elements.len(),
             });
         }
-        let n = sets.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut ranks = Vec::with_capacity(tuple_count);
-        let mut weights = Vec::with_capacity(tuple_count);
-        let mut suffix = vec![Weight::ZERO; tuple_count];
-        let mut norms = Vec::with_capacity(n);
-        let mut totals = Vec::with_capacity(n);
-        let mut sig_words = Vec::with_capacity(n * SIG_WORDS);
-        let mut min_weights = Vec::with_capacity(n);
-        let mut norm_range: Option<(f64, f64)> = None;
-        let mut stats = CollectionStats::new(universe_size, universe_tag);
-
-        for (mut elems, norm) in sets {
-            elems.sort_unstable_by_key(|&(rank, _)| rank);
-            for w in elems.windows(2) {
-                if w[0].0 == w[1].0 {
-                    return Err(SsJoinError::InvalidInput(format!(
-                        "duplicate rank {}; ordinalize multisets first",
-                        w[0].0
-                    )));
-                }
-            }
-            let start = ranks.len();
-            let mut signature = [0u64; SIG_WORDS];
-            let mut min_weight: Option<Weight> = None;
-            for &(rank, w) in &elems {
-                ranks.push(rank);
-                weights.push(w);
-                set_signature_bit(&mut signature, rank);
-                min_weight = Some(min_weight.map_or(w, |m| m.min(w)));
-            }
-            // Suffix cumulative weights by a reverse scan; the set total
-            // falls out as suffix[start].
-            let mut acc = Weight::ZERO;
-            for k in (start..ranks.len()).rev() {
-                acc += weights[k];
-                suffix[k] = acc;
-            }
-            stats.record((norms.len()) as u32, &ranks[start..]);
-            offsets.push(ranks.len() as u32);
-            norms.push(norm);
-            totals.push(acc);
-            sig_words.extend_from_slice(&signature);
-            min_weights.push(min_weight.unwrap_or(Weight::ZERO));
-            norm_range = Some(match norm_range {
-                None => (norm, norm),
-                Some((lo, hi)) => (lo.min(norm), hi.max(norm)),
-            });
+        if offsets.len() != norms.len() + 1
+            || offsets[0] != 0
+            || offsets.windows(2).any(|w| w[0] > w[1])
+            || offsets[norms.len()] as usize != elements.len()
+        {
+            return Err(SsJoinError::InvalidInput(format!(
+                "set offsets do not delimit {} elements into {} sets",
+                elements.len(),
+                norms.len()
+            )));
         }
+        let n = norms.len();
+        let tuple_count = elements.len();
+        let mut c = Self::empty(universe_size, universe_tag);
+        c.offsets.reserve(n);
+        c.ranks.reserve(tuple_count);
+        c.weights.reserve(tuple_count);
+        c.suffix.reserve(tuple_count);
+        c.norms.reserve(n);
+        c.totals.reserve(n);
+        c.sig_words.reserve(n * SIG_WORDS);
+        c.min_weights.reserve(n);
+        for (bounds, &norm) in offsets.windows(2).zip(&norms) {
+            let set = &mut elements[bounds[0] as usize..bounds[1] as usize];
+            set.sort_unstable_by_key(|&(rank, _)| rank);
+            reject_duplicate_ranks(set)?;
+            c.append_sorted(set.iter().copied(), norm);
+        }
+        Ok(c)
+    }
 
-        Ok(Self {
-            offsets,
-            ranks,
-            weights,
-            suffix,
-            norms,
-            totals,
-            sig_words,
-            min_weights,
-            universe_size,
-            universe_tag,
-            norm_range,
-            stats,
-        })
+    /// Append one set whose elements arrive ascending by rank and
+    /// duplicate-free, computing every piece of derived per-set state.
+    /// Returns the new set's group id. The one place the arena grows.
+    fn append_sorted(&mut self, elems: impl IntoIterator<Item = (u32, Weight)>, norm: f64) -> u32 {
+        let start = self.ranks.len();
+        let mut signature = [0u64; SIG_WORDS];
+        let mut min_weight: Option<Weight> = None;
+        for (rank, w) in elems {
+            self.ranks.push(rank);
+            self.weights.push(w);
+            set_signature_bit(&mut signature, rank);
+            min_weight = Some(min_weight.map_or(w, |m| m.min(w)));
+        }
+        // Suffix cumulative weights by a reverse scan; the set total falls
+        // out as suffix[start].
+        self.suffix.resize(self.ranks.len(), Weight::ZERO);
+        let mut acc = Weight::ZERO;
+        for k in (start..self.ranks.len()).rev() {
+            acc += self.weights[k];
+            self.suffix[k] = acc;
+        }
+        let id = self.len() as u32;
+        self.stats.record(id, &self.ranks[start..]);
+        self.offsets.push(self.ranks.len() as u32);
+        self.norms.push(norm);
+        self.totals.push(acc);
+        self.sig_words.extend_from_slice(&signature);
+        self.min_weights.push(min_weight.unwrap_or(Weight::ZERO));
+        self.norm_range = Some(match self.norm_range {
+            None => (norm, norm),
+            Some((lo, hi)) => (lo.min(norm), hi.max(norm)),
+        });
+        id
     }
 
     /// Append one set to the arena (same universe), computing the same
-    /// derived state as [`SetCollection::from_sets`]. Elements may arrive in
+    /// derived state as [`SetCollection::from_flat`]. Elements may arrive in
     /// any order; they are sorted by rank. Returns the new set's group id.
     ///
-    /// Unlike `from_sets` — whose callers (builder, deserialization) have
+    /// Unlike `from_flat` — whose callers (builder, deserialization) have
     /// already range-checked every rank — this path takes caller-supplied
     /// elements directly, so it additionally validates `rank <
     /// universe_size` (an out-of-range rank would overrun the inverted
@@ -593,14 +625,7 @@ impl SetCollection {
         }
         let mut elems = elements.to_vec();
         elems.sort_unstable_by_key(|&(rank, _)| rank);
-        for w in elems.windows(2) {
-            if w[0].0 == w[1].0 {
-                return Err(SsJoinError::InvalidInput(format!(
-                    "duplicate rank {}; ordinalize multisets first",
-                    w[0].0
-                )));
-            }
-        }
+        reject_duplicate_ranks(&elems)?;
         if let Some(&(rank, _)) = elems.last() {
             if rank as usize >= self.universe_size {
                 return Err(SsJoinError::InvalidInput(format!(
@@ -609,33 +634,7 @@ impl SetCollection {
                 )));
             }
         }
-        let start = self.ranks.len();
-        let mut signature = [0u64; SIG_WORDS];
-        let mut min_weight: Option<Weight> = None;
-        for &(rank, w) in &elems {
-            self.ranks.push(rank);
-            self.weights.push(w);
-            set_signature_bit(&mut signature, rank);
-            min_weight = Some(min_weight.map_or(w, |m| m.min(w)));
-        }
-        self.suffix.resize(self.ranks.len(), Weight::ZERO);
-        let mut acc = Weight::ZERO;
-        for k in (start..self.ranks.len()).rev() {
-            acc += self.weights[k];
-            self.suffix[k] = acc;
-        }
-        let id = self.len() as u32;
-        self.stats.record(id, &self.ranks[start..]);
-        self.offsets.push(self.ranks.len() as u32);
-        self.norms.push(norm);
-        self.totals.push(acc);
-        self.sig_words.extend_from_slice(&signature);
-        self.min_weights.push(min_weight.unwrap_or(Weight::ZERO));
-        self.norm_range = Some(match self.norm_range {
-            None => (norm, norm),
-            Some((lo, hi)) => (lo.min(norm), hi.max(norm)),
-        });
-        Ok(id)
+        Ok(self.append_sorted(elems, norm))
     }
 
     /// Append one set whose elements arrive already ascending by rank,
@@ -657,33 +656,10 @@ impl SetCollection {
             .last()
             .is_none_or(|&r| (r as usize) < self.universe_size));
         debug_assert!(self.len() < u32::MAX as usize);
-        let start = self.ranks.len();
-        let mut signature = [0u64; SIG_WORDS];
-        let mut min_weight: Option<Weight> = None;
-        for (&rank, &w) in elem_ranks.iter().zip(elem_weights) {
-            self.ranks.push(rank);
-            self.weights.push(w);
-            set_signature_bit(&mut signature, rank);
-            min_weight = Some(min_weight.map_or(w, |m| m.min(w)));
-        }
-        self.suffix.resize(self.ranks.len(), Weight::ZERO);
-        let mut acc = Weight::ZERO;
-        for k in (start..self.ranks.len()).rev() {
-            acc += self.weights[k];
-            self.suffix[k] = acc;
-        }
-        let id = self.len() as u32;
-        self.stats.record(id, &self.ranks[start..]);
-        self.offsets.push(self.ranks.len() as u32);
-        self.norms.push(norm);
-        self.totals.push(acc);
-        self.sig_words.extend_from_slice(&signature);
-        self.min_weights.push(min_weight.unwrap_or(Weight::ZERO));
-        self.norm_range = Some(match self.norm_range {
-            None => (norm, norm),
-            Some((lo, hi)) => (lo.min(norm), hi.max(norm)),
-        });
-        id
+        self.append_sorted(
+            elem_ranks.iter().copied().zip(elem_weights.iter().copied()),
+            norm,
+        )
     }
 
     /// Reset this collection to an empty arena over a (possibly different)
@@ -711,20 +687,7 @@ impl SetCollection {
     /// tag), so sets appended with [`Self::push_set`] stay joinable against
     /// collections from the original builder run. Used by epoch compaction.
     pub(crate) fn empty_like(&self) -> Self {
-        Self {
-            offsets: vec![0],
-            ranks: Vec::new(),
-            weights: Vec::new(),
-            suffix: Vec::new(),
-            norms: Vec::new(),
-            totals: Vec::new(),
-            sig_words: Vec::new(),
-            min_weights: Vec::new(),
-            universe_size: self.universe_size,
-            universe_tag: self.universe_tag,
-            norm_range: None,
-            stats: CollectionStats::new(self.universe_size, self.universe_tag),
-        }
+        Self::empty(self.universe_size, self.universe_tag)
     }
 
     /// One set by group id, as a borrowed arena view.
@@ -797,6 +760,25 @@ impl SetCollection {
     }
 }
 
+/// Test-only: a collection from per-set `(elements, norm)` lists, through
+/// the flat constructor.
+#[cfg(test)]
+pub(crate) fn collection_from_sets(
+    sets: Vec<(Vec<(u32, Weight)>, f64)>,
+    universe_size: usize,
+    universe_tag: u64,
+) -> SsJoinResult<SetCollection> {
+    let mut offsets = vec![0u32];
+    let mut elements = Vec::new();
+    let mut norms = Vec::new();
+    for (elems, norm) in sets {
+        elements.extend(elems);
+        offsets.push(elements.len() as u32);
+        norms.push(norm);
+    }
+    SetCollection::from_flat(offsets, elements, norms, universe_size, universe_tag)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -806,7 +788,7 @@ mod tests {
     }
 
     fn collection(sets: &[&[(u32, f64)]]) -> SetCollection {
-        SetCollection::from_sets(
+        collection_from_sets(
             sets.iter()
                 .map(|elems| (elems.iter().map(|&(r, x)| (r, w(x))).collect(), 0.0))
                 .collect(),
@@ -826,7 +808,7 @@ mod tests {
 
     #[test]
     fn duplicate_ranks_rejected() {
-        let r = SetCollection::from_sets(vec![(vec![(1, w(1.0)), (1, w(1.0))], 0.0)], 64, 0);
+        let r = collection_from_sets(vec![(vec![(1, w(1.0)), (1, w(1.0))], 0.0)], 64, 0);
         assert!(matches!(r, Err(SsJoinError::InvalidInput(_))), "{r:?}");
     }
 
@@ -933,7 +915,7 @@ mod tests {
         };
         for a_seed in 0..12u32 {
             for b_seed in 0..12u32 {
-                let c = SetCollection::from_sets(
+                let c = collection_from_sets(
                     vec![
                         (mk(a_seed, 3 + a_seed % 9), 0.0),
                         (mk(b_seed, 3 + b_seed % 9), 0.0),
@@ -1007,7 +989,7 @@ mod tests {
         };
         for a_seed in 0..12u32 {
             for b_seed in 0..12u32 {
-                let c = SetCollection::from_sets(
+                let c = collection_from_sets(
                     vec![
                         (mk(a_seed, 3 + a_seed % 9), 0.0),
                         (mk(b_seed, 3 + b_seed % 9), 0.0),
@@ -1042,8 +1024,8 @@ mod tests {
                 .collect()
         };
         for seed in 0..20u32 {
-            let c = SetCollection::from_sets(vec![(mk(seed), 0.0), (mk(seed + 7), 0.0)], 211, 0)
-                .unwrap();
+            let c =
+                collection_from_sets(vec![(mk(seed), 0.0), (mk(seed + 7), 0.0)], 211, 0).unwrap();
             let (a, b) = (c.set(0), c.set(1));
             let bounds: Vec<Weight> = SignatureWidth::ALL
                 .iter()
@@ -1140,9 +1122,9 @@ mod tests {
     #[test]
     fn norm_range_cached() {
         let mk = |n: f64| (vec![(0u32, Weight::ONE)], n);
-        let c = SetCollection::from_sets(vec![mk(3.0), mk(1.0), mk(2.0)], 1, 0).unwrap();
+        let c = collection_from_sets(vec![mk(3.0), mk(1.0), mk(2.0)], 1, 0).unwrap();
         assert_eq!(c.norm_range(), Some((1.0, 3.0)));
-        let empty = SetCollection::from_sets(vec![], 0, 0).unwrap();
+        let empty = collection_from_sets(vec![], 0, 0).unwrap();
         assert_eq!(empty.norm_range(), None);
     }
 

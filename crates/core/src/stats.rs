@@ -10,7 +10,12 @@ use std::time::Duration;
 /// The phases of an SSJoin execution, named as in Figures 10–12.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Input preparation (set construction, normalization).
+    /// Input preparation, from raw strings to built collections:
+    /// tokenization, interning and ordinalization, weighting, the global
+    /// order and the arena build. The string-taking joins (`jaccard_join`,
+    /// `edit_similarity_join`, `ges_join`, `cosine_join`) fuse tokenization
+    /// into the build, so it is always inside this phase; joins over
+    /// pre-tokenized groups time the build alone.
     Prep,
     /// Prefix extraction (prefix-filtered and inline algorithms only).
     PrefixFilter,

@@ -1,6 +1,9 @@
-//! Shared output types for the similarity-join layer.
+//! Shared output types and input preparation for the similarity-join layer.
 
-use ssjoin_core::{Algorithm, SsJoinStats};
+use ssjoin_core::{
+    Algorithm, BuiltInput, NormKind, RelationHandle, SsJoinInputBuilder, SsJoinResult, SsJoinStats,
+};
+use ssjoin_text::Tokenizer;
 
 /// One matching pair with its verified similarity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,6 +45,38 @@ impl SimilarityJoinOutput {
 /// (`r < s`). The experiment harness reports deduplicated pair counts.
 pub fn dedupe_self_pairs(pairs: &[MatchPair]) -> Vec<MatchPair> {
     pairs.iter().filter(|p| p.r < p.s).copied().collect()
+}
+
+/// Tokenize `r` and `s` straight into `builder` (each token is interned as
+/// the tokenizer emits it; no token lists are materialized) and build.
+/// `r_norm` and `s_norm` say how each side's norms are derived.
+///
+/// A self-join — `r` and `s` the same slice — is tokenized and built once,
+/// and both handles name the one collection, so SSJoin receives the same
+/// collection as R and S. Adding the data twice would double every
+/// frequency and the group count `N` alike: IDF's `N / f_t`, the frequency
+/// order and therefore every rank, weight and norm come out bit-identical.
+pub(crate) fn build_sides(
+    mut builder: SsJoinInputBuilder,
+    tok: &impl Tokenizer,
+    r: &[String],
+    s: &[String],
+    r_norm: NormKind,
+    s_norm: NormKind,
+) -> SsJoinResult<(BuiltInput, RelationHandle, RelationHandle)> {
+    let mut scratch = String::new();
+    let mut add = |values: &[String], norm: NormKind| {
+        builder.add_relation_by(values.len(), norm, |i, emit| {
+            tok.for_each_token(&values[i], &mut scratch, emit)
+        })
+    };
+    let rh = add(r, r_norm);
+    let sh = if std::ptr::eq(r, s) {
+        rh
+    } else {
+        add(s, s_norm)
+    };
+    Ok((builder.build()?, rh, sh))
 }
 
 #[cfg(test)]

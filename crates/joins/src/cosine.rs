@@ -17,13 +17,13 @@
 //! element, which matches treating repeated tokens as set members with
 //! occurrence tags rather than term frequencies.
 
-use crate::common::{MatchPair, SimilarityJoinOutput};
+use crate::common::{build_sides, MatchPair, SimilarityJoinOutput};
 use ssjoin_core::{
-    ssjoin, Algorithm, ElementOrder, ExecContext, NormExpr, NormKind, OverlapPredicate, Phase,
-    SsJoinConfig, SsJoinInputBuilder, SsJoinResult, WeightScheme,
+    ssjoin, Algorithm, BuiltInput, ElementOrder, ExecContext, NormExpr, NormKind, OverlapPredicate,
+    Phase, RelationHandle, SsJoinConfig, SsJoinInputBuilder, SsJoinResult, WeightScheme,
 };
-use ssjoin_text::{Tokenizer, WordTokenizer};
-use std::time::Instant;
+use ssjoin_text::WordTokenizer;
+use std::time::{Duration, Instant};
 
 /// Configuration for [`cosine_join`].
 #[derive(Debug, Clone)]
@@ -70,12 +70,27 @@ pub fn cosine_join_tokens(
     config: &CosineConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
     let prep_start = Instant::now();
-    let mut builder = SsJoinInputBuilder::new(WeightScheme::IdfSquared, ElementOrder::FrequencyAsc);
+    let mut builder = cosine_builder();
     let rh = builder.add_relation_with_norm(r_groups, NormKind::SqrtTotalWeight);
     let sh = builder.add_relation_with_norm(s_groups, NormKind::SqrtTotalWeight);
     let built = builder.build()?;
-    let prep = prep_start.elapsed();
+    join_built(&built, rh, sh, config, prep_start.elapsed())
+}
 
+/// IDF² weights over the global frequency order: overlaps are dot products.
+fn cosine_builder() -> SsJoinInputBuilder {
+    SsJoinInputBuilder::new(WeightScheme::IdfSquared, ElementOrder::FrequencyAsc)
+}
+
+/// SSJoin plus the cosine computation over a built input; `prep` is the
+/// time spent producing it.
+fn join_built(
+    built: &BuiltInput,
+    rh: RelationHandle,
+    sh: RelationHandle,
+    config: &CosineConfig,
+    prep: Duration,
+) -> SsJoinResult<SimilarityJoinOutput> {
     // Overlap ≥ α·‖r‖·‖s‖.
     let pred = OverlapPredicate::new(vec![NormExpr::Mul(
         Box::new(NormExpr::Const(config.threshold)),
@@ -122,7 +137,9 @@ pub fn cosine_join_tokens(
     })
 }
 
-/// Cosine join over strings, tokenized into lowercased words.
+/// Cosine join over strings, tokenized into lowercased words. Pass the same
+/// slice twice for a self-join: it is tokenized and built once.
+/// `Phase::Prep` covers tokenization and the build.
 ///
 /// ```
 /// use ssjoin_joins::{cosine_join, CosineConfig};
@@ -139,15 +156,22 @@ pub fn cosine_join(
     s: &[String],
     config: &CosineConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
-    let tok = WordTokenizer::new().lowercased();
-    let r_groups = r.iter().map(|x| tok.tokenize(x)).collect();
-    let s_groups = s.iter().map(|x| tok.tokenize(x)).collect();
-    cosine_join_tokens(r_groups, s_groups, config)
+    let prep_start = Instant::now();
+    let (built, rh, sh) = build_sides(
+        cosine_builder(),
+        &WordTokenizer::new().lowercased(),
+        r,
+        s,
+        NormKind::SqrtTotalWeight,
+        NormKind::SqrtTotalWeight,
+    )?;
+    join_built(&built, rh, sh, config, prep_start.elapsed())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssjoin_text::Tokenizer;
     use std::collections::HashMap;
 
     fn strings(v: &[&str]) -> Vec<String> {

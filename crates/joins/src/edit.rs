@@ -20,13 +20,13 @@
 //! it *exactly* by routing the short strings of both sides through a
 //! brute-force check, so the join is correct for every input.
 
-use crate::common::{MatchPair, SimilarityJoinOutput};
+use crate::common::{build_sides, MatchPair, SimilarityJoinOutput};
 use ssjoin_core::{
     ssjoin, Algorithm, ElementOrder, ExecContext, NormExpr, NormKind, OverlapPredicate, Phase,
     SsJoinConfig, SsJoinInputBuilder, SsJoinResult, WeightScheme,
 };
 use ssjoin_sim::edit_similarity_at_least;
-use ssjoin_text::{QGramTokenizer, Tokenizer};
+use ssjoin_text::QGramTokenizer;
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -126,17 +126,19 @@ pub fn edit_similarity_join(
 ) -> SsJoinResult<SimilarityJoinOutput> {
     let alpha = config.threshold;
 
-    // Prep: q-gram sets with string-length norms.
+    // Prep: q-gram sets with string-length norms; a self-join builds once.
     let prep_start = Instant::now();
-    let tok = QGramTokenizer::new(config.q);
-    let r_lens: Vec<f64> = r.iter().map(|x| x.chars().count() as f64).collect();
-    let s_lens: Vec<f64> = s.iter().map(|x| x.chars().count() as f64).collect();
-    let r_groups: Vec<Vec<String>> = r.iter().map(|x| tok.tokenize(x)).collect();
-    let s_groups: Vec<Vec<String>> = s.iter().map(|x| tok.tokenize(x)).collect();
-    let mut builder = SsJoinInputBuilder::new(WeightScheme::Unweighted, config.order);
-    let rh = builder.add_relation_with_norm(r_groups, NormKind::Custom(r_lens.clone()));
-    let sh = builder.add_relation_with_norm(s_groups, NormKind::Custom(s_lens.clone()));
-    let built = builder.build()?;
+    let char_lens =
+        |xs: &[String]| -> Vec<f64> { xs.iter().map(|x| x.chars().count() as f64).collect() };
+    let (r_lens, s_lens) = (char_lens(r), char_lens(s));
+    let (built, rh, sh) = build_sides(
+        SsJoinInputBuilder::new(WeightScheme::Unweighted, config.order),
+        &QGramTokenizer::new(config.q),
+        r,
+        s,
+        NormKind::Custom(r_lens.clone()),
+        NormKind::Custom(s_lens.clone()),
+    )?;
     let prep = prep_start.elapsed();
 
     // SSJoin with the Property-4 predicate:

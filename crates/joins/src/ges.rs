@@ -22,8 +22,8 @@
 use crate::common::{MatchPair, SimilarityJoinOutput};
 use crate::edit::{edit_similarity_join, EditJoinConfig};
 use ssjoin_core::{
-    ssjoin, Algorithm, ElementOrder, ExecContext, OverlapPredicate, Phase, SsJoinConfig,
-    SsJoinInputBuilder, SsJoinResult, SsJoinStats, WeightScheme,
+    ssjoin, Algorithm, ElementOrder, ExecContext, NormKind, OverlapPredicate, Phase,
+    RelationHandle, SsJoinConfig, SsJoinInputBuilder, SsJoinResult, SsJoinStats, WeightScheme,
 };
 use ssjoin_sim::{ges, GesConfig};
 use ssjoin_text::{Tokenizer, WordTokenizer};
@@ -92,25 +92,47 @@ impl GesJoinConfig {
 }
 
 /// GES join: pairs with `GES(r[i] → s[j]) ≥ threshold` (note GES's
-/// asymmetric normalization by the R side, per Definition 6).
+/// asymmetric normalization by the R side, per Definition 6). Pass the same
+/// slice twice for a self-join: it is tokenized and built once, and so is
+/// the token dictionary's own edit-similarity self-join.
 pub fn ges_join(
     r: &[String],
     s: &[String],
     config: &GesJoinConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
+    // Prep — tokenization, IDF weights, dictionary expansion and the set
+    // build — is timed as one phase. A self-join tokenizes and builds once.
+    let prep_start = Instant::now();
+    let same = std::ptr::eq(r, s);
     let tok = WordTokenizer::new().lowercased();
-    let r_tokens: Vec<Vec<String>> = r.iter().map(|x| tok.tokenize(x)).collect();
-    let s_tokens: Vec<Vec<String>> = s.iter().map(|x| tok.tokenize(x)).collect();
+    let tokenize =
+        |xs: &[String]| -> Vec<Vec<String>> { xs.iter().map(|x| tok.tokenize(x)).collect() };
+    let r_tokens = tokenize(r);
+    let s_tokens_owned;
+    let s_tokens: &[Vec<String>] = if same {
+        &r_tokens
+    } else {
+        s_tokens_owned = tokenize(s);
+        &s_tokens_owned
+    };
 
-    // IDF token weights over the joint corpus (the GES weight model).
+    // IDF token weights over the joint corpus (the GES weight model). A
+    // self-join's one copy of the data counts for both sides.
     let total = (r_tokens.len() + s_tokens.len()) as f64;
     let mut freq: HashMap<&str, usize> = HashMap::new();
-    for group in r_tokens.iter().chain(&s_tokens) {
-        let mut seen: Vec<&str> = Vec::new();
-        for t in group {
-            if !seen.contains(&t.as_str()) {
-                seen.push(t);
-                *freq.entry(t.as_str()).or_insert(0) += 1;
+    let sides: &[(&[Vec<String>], usize)] = if same {
+        &[(&r_tokens, 2)]
+    } else {
+        &[(&r_tokens, 1), (s_tokens, 1)]
+    };
+    for &(groups, copies) in sides {
+        for group in groups {
+            let mut seen: Vec<&str> = Vec::new();
+            for t in group {
+                if !seen.contains(&t.as_str()) {
+                    seen.push(t);
+                    *freq.entry(t.as_str()).or_insert(0) += copies;
+                }
             }
         }
     }
@@ -124,6 +146,7 @@ pub fn ges_join(
     let ges_cfg = GesConfig::default();
 
     let candidate_keys: Vec<(u32, u32)> = if config.exhaustive {
+        stats.add_time(Phase::Prep, prep_start.elapsed());
         (0..r.len() as u32)
             .flat_map(|i| (0..s.len() as u32).map(move |j| (i, j)))
             .collect()
@@ -136,7 +159,6 @@ pub fn ges_join(
         // in the street numbers such as '148th Ave' and '147th Ave' are
         // crucial" — and it keeps the dictionary join from degenerating on
         // dense numeric vocabularies.
-        let prep_start = Instant::now();
         let mut dict: Vec<String> = weights
             .keys()
             .filter(|t| t.chars().any(char::is_alphabetic))
@@ -152,30 +174,13 @@ pub fn ges_join(
                 .or_default()
                 .push(dict[p.s as usize].as_str());
         }
-        let expand = |groups: &[Vec<String>]| -> Vec<Vec<String>> {
-            groups
-                .iter()
-                .map(|g| {
-                    let mut out: Vec<String> = Vec::with_capacity(g.len() * 2);
-                    for t in g {
-                        match similar.get(t.as_str()) {
-                            Some(close) => {
-                                out.extend(close.iter().map(|c| c.to_string()));
-                            }
-                            None => out.push(t.clone()),
-                        }
-                    }
-                    out.sort_unstable();
-                    out.dedup();
-                    out
-                })
-                .collect()
-        };
-        let r_expanded = expand(&r_tokens);
-        let s_expanded = expand(&s_tokens);
         let mut builder = SsJoinInputBuilder::new(WeightScheme::Idf, ElementOrder::FrequencyAsc);
-        let rh = builder.add_relation(r_expanded);
-        let sh = builder.add_relation(s_expanded);
+        let rh = add_expanded(&mut builder, &r_tokens, &similar);
+        let sh = if same {
+            rh
+        } else {
+            add_expanded(&mut builder, s_tokens, &similar)
+        };
         let built = builder.build()?;
         stats.add_time(Phase::Prep, prep_start.elapsed());
 
@@ -227,6 +232,29 @@ pub fn ges_join(
             config.algorithm
         },
         udf_verifications,
+    })
+}
+
+/// Add one relation of token groups, each token replaced by its dictionary
+/// neighbours (`similar`; tokens without any stay as they are), sorted and
+/// deduplicated.
+fn add_expanded(
+    builder: &mut SsJoinInputBuilder,
+    groups: &[Vec<String>],
+    similar: &HashMap<&str, Vec<&str>>,
+) -> RelationHandle {
+    let mut expanded: Vec<&str> = Vec::new();
+    builder.add_relation_by(groups.len(), NormKind::TotalWeight, |i, emit| {
+        expanded.clear();
+        for t in &groups[i] {
+            match similar.get(t.as_str()) {
+                Some(close) => expanded.extend_from_slice(close),
+                None => expanded.push(t),
+            }
+        }
+        expanded.sort_unstable();
+        expanded.dedup();
+        expanded.iter().for_each(|t| emit(t));
     })
 }
 

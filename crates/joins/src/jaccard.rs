@@ -7,13 +7,13 @@
 //! (computable from the overlap and the two set weights, no re-tokenization)
 //! filters them.
 
-use crate::common::{MatchPair, SimilarityJoinOutput};
+use crate::common::{build_sides, MatchPair, SimilarityJoinOutput};
 use ssjoin_core::{
-    ssjoin, Algorithm, ElementOrder, ExecContext, OverlapPredicate, Phase, SsJoinConfig,
-    SsJoinInputBuilder, SsJoinResult, WeightScheme,
+    ssjoin, Algorithm, BuiltInput, ElementOrder, ExecContext, NormKind, OverlapPredicate, Phase,
+    RelationHandle, SsJoinConfig, SsJoinInputBuilder, SsJoinResult, WeightScheme,
 };
-use ssjoin_text::{Tokenizer, WordTokenizer};
-use std::time::Instant;
+use ssjoin_text::WordTokenizer;
+use std::time::{Duration, Instant};
 
 /// Which Jaccard variant to join on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,15 +105,24 @@ pub fn jaccard_join_tokens(
     s_groups: Vec<Vec<String>>,
     config: &JaccardConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
-    let alpha = config.threshold;
-
     let prep_start = Instant::now();
     let mut builder = SsJoinInputBuilder::new(config.weights, config.order);
     let rh = builder.add_relation(r_groups);
     let sh = builder.add_relation(s_groups);
     let built = builder.build()?;
-    let prep = prep_start.elapsed();
+    join_built(&built, rh, sh, config, prep_start.elapsed())
+}
 
+/// SSJoin plus the resemblance/containment check over a built input;
+/// `prep` is the time spent producing it.
+fn join_built(
+    built: &BuiltInput,
+    rh: RelationHandle,
+    sh: RelationHandle,
+    config: &JaccardConfig,
+    prep: Duration,
+) -> SsJoinResult<SimilarityJoinOutput> {
+    let alpha = config.threshold;
     let pred = match config.kind {
         JaccardKind::Containment => OverlapPredicate::r_normalized(alpha),
         JaccardKind::Resemblance => OverlapPredicate::two_sided(alpha),
@@ -174,7 +183,9 @@ pub fn jaccard_join_tokens(
 }
 
 /// Jaccard join over strings, tokenized into lowercased words (the standard
-/// data-cleaning setup for addresses and names).
+/// data-cleaning setup for addresses and names). Pass the same slice twice
+/// for a self-join: it is tokenized and built once. `Phase::Prep` covers
+/// tokenization and the build.
 ///
 /// ```
 /// use ssjoin_joins::{jaccard_join, JaccardConfig};
@@ -193,16 +204,23 @@ pub fn jaccard_join(
     s: &[String],
     config: &JaccardConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
-    let tok = WordTokenizer::new().lowercased();
-    let r_groups = r.iter().map(|x| tok.tokenize(x)).collect();
-    let s_groups = s.iter().map(|x| tok.tokenize(x)).collect();
-    jaccard_join_tokens(r_groups, s_groups, config)
+    let prep_start = Instant::now();
+    let (built, rh, sh) = build_sides(
+        SsJoinInputBuilder::new(config.weights, config.order),
+        &WordTokenizer::new().lowercased(),
+        r,
+        s,
+        NormKind::TotalWeight,
+        NormKind::TotalWeight,
+    )?;
+    join_built(&built, rh, sh, config, prep_start.elapsed())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ssjoin_sim::{weighted_jaccard_containment, weighted_jaccard_resemblance};
+    use ssjoin_text::Tokenizer;
 
     fn strings(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()

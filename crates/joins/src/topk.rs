@@ -195,10 +195,12 @@ impl TopKIndex {
         let tok = QGramTokenizer::new(config.q);
         let ref_lens: Vec<usize> = reference.iter().map(|x| x.chars().count()).collect();
         let norms: Vec<f64> = ref_lens.iter().map(|&l| l as f64).collect();
-        let groups: Vec<Vec<String>> = reference.iter().map(|x| tok.tokenize(x)).collect();
         let mut builder =
             SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
-        builder.add_relation_with_norm(groups, NormKind::Custom(norms));
+        let mut scratch = String::new();
+        builder.add_relation_by(reference.len(), NormKind::Custom(norms), |i, emit| {
+            tok.for_each_token(&reference[i], &mut scratch, emit)
+        });
         let built = builder.build()?;
         let encoder = built.query_encoder();
         let corpus = built
@@ -249,9 +251,12 @@ impl TopKIndex {
         let alpha = self.config.min_similarity;
         let tok = QGramTokenizer::new(self.config.q);
         let qlen = query.chars().count();
+        let mut scratch = String::new();
         let batch = self
             .encoder
-            .encode(&[tok.tokenize(query)], NormKind::Custom(vec![qlen as f64]))?;
+            .encode_by(1, NormKind::Custom(vec![qlen as f64]), |_, emit| {
+                tok.for_each_token(query, &mut scratch, emit)
+            })?;
 
         let mut out: Vec<TopKMatch> = Vec::new();
         let mut seen: HashSet<u32> = HashSet::new();
@@ -377,10 +382,12 @@ impl TopKIndex {
     /// into the inverted lists automatically as inserts accumulate.
     pub fn insert(&mut self, text: &str) -> SsJoinResult<u32> {
         let tok = QGramTokenizer::new(self.config.q);
-        let group = tok.tokenize(text);
-        let elems = self.encoder.encode_group(&group);
-        let dropped = elems.len() < group.len();
+        let mut scratch = String::new();
+        let elems = self
+            .encoder
+            .encode_group_by(|emit| tok.for_each_token(text, &mut scratch, emit));
         let len = text.chars().count();
+        let dropped = elems.len() < tok.count_for_len(len);
         let id = self.index.insert(&elems, len as f64)?;
         self.reference.push(text.to_string());
         self.ref_lens.push(len);

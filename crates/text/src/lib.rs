@@ -38,14 +38,32 @@ pub use words::WordTokenizer;
 /// Implementations must be deterministic: the same input always produces the
 /// same token sequence, in a stable order. Downstream code is free to treat
 /// the output as a multiset.
+///
+/// The one required method, [`Tokenizer::for_each_token`], streams borrowed
+/// tokens to a callback, so a consumer that only needs to look each token up
+/// (the SSJoin input builder interning tokens, a query encoder) never
+/// allocates a `String` per token. [`Tokenizer::tokenize`] collects the same
+/// stream into owned tokens.
 pub trait Tokenizer {
-    /// Tokenize `s` into a sequence of owned tokens.
-    fn tokenize(&self, s: &str) -> Vec<String>;
+    /// Call `emit` once per token of `s`, in order. A token is either a span
+    /// of `s` or, when it must be rewritten (lowercased, padded), a span of
+    /// `scratch`, which the tokenizer may overwrite between calls. Reusing
+    /// one `scratch` across calls keeps the stream allocation-free.
+    fn for_each_token(&self, s: &str, scratch: &mut String, emit: &mut dyn FnMut(&str));
 
-    /// The number of tokens `tokenize` would produce, when it can be computed
-    /// without materializing them. The default materializes.
+    /// Tokenize `s` into a sequence of owned tokens.
+    fn tokenize(&self, s: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        self.for_each_token(s, &mut String::new(), &mut |t| out.push(t.to_owned()));
+        out
+    }
+
+    /// The number of tokens `tokenize` would produce. The default counts the
+    /// token stream without materializing it.
     fn token_count(&self, s: &str) -> usize {
-        self.tokenize(s).len()
+        let mut n = 0;
+        self.for_each_token(s, &mut String::new(), &mut |_| n += 1);
+        n
     }
 }
 

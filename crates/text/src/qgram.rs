@@ -81,36 +81,50 @@ impl QGramTokenizer {
             qgram_count(len, self.q)
         }
     }
-
-    fn tokenize_chars(&self, chars: &[char]) -> Vec<String> {
-        if chars.is_empty() {
-            // Both conventions: the empty string tokenizes to no q-grams.
-            return Vec::new();
-        }
-        if self.pad {
-            let padding = vec![self.pad_char; self.q - 1];
-            let mut padded = Vec::with_capacity(chars.len() + 2 * (self.q - 1));
-            padded.extend_from_slice(&padding);
-            padded.extend_from_slice(chars);
-            padded.extend_from_slice(&padding);
-            windows_to_strings(&padded, self.q)
-        } else {
-            if chars.len() < self.q {
-                return vec![chars.iter().collect()];
-            }
-            windows_to_strings(chars, self.q)
-        }
-    }
 }
 
-fn windows_to_strings(chars: &[char], q: usize) -> Vec<String> {
-    chars.windows(q).map(|w| w.iter().collect()).collect()
+/// Emit every run of `q` consecutive chars of `s` as a span of `s`, in
+/// order; returns how many were emitted (0 when `s` is shorter than `q`).
+fn emit_windows(s: &str, q: usize, emit: &mut dyn FnMut(&str)) -> usize {
+    if s.is_ascii() {
+        let n = (s.len() + 1).saturating_sub(q);
+        for i in 0..n {
+            emit(&s[i..i + q]);
+        }
+        return n;
+    }
+    // Window j spans char boundaries j .. j + q.
+    let starts = s.char_indices().map(|(i, _)| i);
+    let ends = s
+        .char_indices()
+        .map(|(i, _)| i)
+        .chain(std::iter::once(s.len()))
+        .skip(q);
+    let mut n = 0;
+    for (lo, hi) in starts.zip(ends) {
+        emit(&s[lo..hi]);
+        n += 1;
+    }
+    n
 }
 
 impl Tokenizer for QGramTokenizer {
-    fn tokenize(&self, s: &str) -> Vec<String> {
-        let chars: Vec<char> = s.chars().collect();
-        self.tokenize_chars(&chars)
+    fn for_each_token(&self, s: &str, scratch: &mut String, emit: &mut dyn FnMut(&str)) {
+        if s.is_empty() {
+            // Both conventions: the empty string tokenizes to no q-grams.
+            return;
+        }
+        if self.pad {
+            let padding = |buf: &mut String| (1..self.q).for_each(|_| buf.push(self.pad_char));
+            scratch.clear();
+            padding(scratch);
+            scratch.push_str(s);
+            padding(scratch);
+            emit_windows(scratch, self.q, emit);
+        } else if emit_windows(s, self.q, emit) == 0 {
+            // Non-empty but shorter than q: one token, the whole string.
+            emit(s);
+        }
     }
 
     fn token_count(&self, s: &str) -> usize {

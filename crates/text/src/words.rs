@@ -71,24 +71,47 @@ impl WordTokenizer {
 }
 
 impl Tokenizer for WordTokenizer {
-    fn tokenize(&self, s: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut current = String::new();
-        for c in s.chars() {
+    fn for_each_token(&self, s: &str, scratch: &mut String, emit: &mut dyn FnMut(&str)) {
+        let mut start: Option<usize> = None;
+        for (i, c) in s.char_indices() {
             if self.is_delim(c) {
-                if !current.is_empty() {
-                    out.push(std::mem::take(&mut current));
+                if let Some(st) = start.take() {
+                    self.emit_word(&s[st..i], scratch, emit);
                 }
-            } else if self.lowercase {
-                current.extend(c.to_lowercase());
-            } else {
-                current.push(c);
+            } else if start.is_none() {
+                start = Some(i);
             }
         }
-        if !current.is_empty() {
-            out.push(current);
+        if let Some(st) = start {
+            self.emit_word(&s[st..], scratch, emit);
         }
-        out
+    }
+}
+
+impl WordTokenizer {
+    /// Emit one word: the borrowed span itself, unless lowercasing changes
+    /// it, in which case the lowercased copy is built in `scratch`.
+    ///
+    /// Lowercasing is per `char` (`char::to_lowercase`), never
+    /// `str::to_lowercase`: the latter maps a word-final `Σ` to `ς`, which
+    /// would make a token depend on its neighbours.
+    fn emit_word(&self, word: &str, scratch: &mut String, emit: &mut dyn FnMut(&str)) {
+        if !self.lowercase {
+            return emit(word);
+        }
+        scratch.clear();
+        if word.is_ascii() {
+            if !word.bytes().any(|b| b.is_ascii_uppercase()) {
+                return emit(word);
+            }
+            scratch.push_str(word);
+            scratch.make_ascii_lowercase();
+        } else {
+            for c in word.chars() {
+                scratch.extend(c.to_lowercase());
+            }
+        }
+        emit(scratch);
     }
 }
 
@@ -132,6 +155,15 @@ mod tests {
     fn duplicates_preserved_in_order() {
         let t = WordTokenizer::new();
         assert_eq!(t.tokenize("a b a"), vec!["a", "b", "a"]);
+    }
+
+    #[test]
+    fn lowercasing_is_per_char() {
+        // No final-sigma rule: every Σ lowercases to σ.
+        let t = WordTokenizer::new().lowercased();
+        assert_eq!(t.tokenize("ΟΔΟΣ"), vec!["οδοσ"]);
+        // 'İ' lowercases to two chars; the span grows.
+        assert_eq!(t.tokenize("İx"), vec!["i\u{307}x"]);
     }
 
     #[test]

@@ -452,10 +452,11 @@ fn execute(cmd: Command) -> Result<(), String> {
             out,
         } => {
             let r = first_column(&r_path)?;
-            let s = match &s_path {
-                Some(p) => first_column(p)?,
-                None => r.clone(),
-            };
+            // Without a second input the join is a self-join: both sides
+            // borrow the one column, so the library tokenizes and builds it
+            // once.
+            let s_column = s_path.as_ref().map(first_column).transpose()?;
+            let s = s_column.as_deref().unwrap_or(&r);
             let output = run_join(
                 kind,
                 threshold,
@@ -464,7 +465,7 @@ fn execute(cmd: Command) -> Result<(), String> {
                 memory_budget,
                 approx,
                 &r,
-                &s,
+                s,
             )?;
             // The winning execution plan (auto-planned or approximate) goes
             // to stderr so piped TSV output stays clean.
