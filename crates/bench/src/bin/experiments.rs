@@ -5,12 +5,13 @@
 //! ```
 //!
 //! Experiments: `table1 fig10 fig11 fig12 fig13 table2 naive ablation-order
-//! ablation-cost ablation-auto ablation-positional ablation-shard
-//! ablation-workspace ablation-kernel ablation-bitmap ablation-budget
-//! ablation-index ablation-spill ablation-approx`
+//! ablation-cost ablation-auto ablation-shard ablation-workspace
+//! ablation-kernel ablation-bitmap ablation-budget ablation-index
+//! ablation-spill ablation-approx`
 //! (default: all; `--all` forces the full set even when experiments are also
-//! named). `--scale 1.0` is the paper's 25,000-row corpus; smaller
-//! values shrink every dataset proportionally for quick runs. `--json`
+//! named; an unknown name prints the usage and exits non-zero).
+//! `--scale 1.0` is the paper's 25,000-row corpus; smaller values shrink
+//! every dataset proportionally for quick runs. `--json`
 //! writes the run to `BENCH_<n>.json` (`--pr n`, default 10) or to an
 //! explicit `--out PATH`.
 //!
@@ -26,8 +27,7 @@ use ssjoin_bench::{
 };
 use ssjoin_core::{
     estimate_costs, estimate_memory_bytes, plan_spill, ssjoin, Algorithm, BudgetCause,
-    ElementOrder, ExecBudget, ExecContext, OverlapKernel, Phase, ShardPolicy, SignatureWidth,
-    SsJoinError,
+    ElementOrder, ExecBudget, ExecContext, OverlapKernel, Phase, SignatureWidth, SsJoinError,
 };
 use ssjoin_joins::{
     dedupe_self_pairs, edit_similarity_join, ges_join, jaccard_join, EditJoinConfig, GesJoinConfig,
@@ -35,6 +35,39 @@ use ssjoin_joins::{
 };
 use ssjoin_sim::edit_similarity;
 use std::time::{Duration, Instant};
+
+/// Every experiment name, in usage order.
+const EXPERIMENTS: [&str; 19] = [
+    "table1",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "table2",
+    "naive",
+    "ablation-order",
+    "ablation-cost",
+    "ablation-auto",
+    "ablation-shard",
+    "ablation-workspace",
+    "ablation-kernel",
+    "ablation-bitmap",
+    "ablation-budget",
+    "ablation-index",
+    "ablation-spill",
+    "ablation-approx",
+    "all",
+];
+
+fn usage() -> String {
+    format!(
+        "usage: experiments [--scale F] [--json] [--all] [--pr N] [--out PATH] [{}]...\n\
+         --all (or the bare word `all`) regenerates every panel in one invocation;\n\
+         --json additionally writes the run as BENCH_<N>.json (--pr N, default 10),\n\
+         or to an explicit --out PATH",
+        EXPERIMENTS.join("|")
+    )
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -67,15 +100,14 @@ fn main() {
                 out = Some(args.get(i).expect("--out needs a path argument").clone());
             }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments [--scale F] [--json] [--all] [--pr N] [--out PATH] [table1|fig10|fig11|fig12|fig13|table2|naive|ablation-order|ablation-cost|ablation-auto|ablation-positional|ablation-shard|ablation-workspace|ablation-kernel|ablation-bitmap|ablation-budget|ablation-index|ablation-spill|ablation-approx|all]...\n\
-                     --all (or the bare word `all`) regenerates every panel in one invocation;\n\
-                     --json additionally writes the run as BENCH_<N>.json (--pr N, default 10),\n\
-                     or to an explicit --out PATH"
-                );
+                eprintln!("{}", usage());
                 return;
             }
-            exp => experiments.push(exp.to_string()),
+            exp if EXPERIMENTS.contains(&exp) => experiments.push(exp.to_string()),
+            other => {
+                eprintln!("unknown experiment {other:?}\n{}", usage());
+                std::process::exit(2);
+            }
         }
         i += 1;
     }
@@ -84,29 +116,11 @@ fn main() {
     if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
         // `table1` prints Figure 11 from the same (expensive) baseline
         // sweep, so `fig11` is not repeated in the default set.
-        experiments = [
-            "table1",
-            "fig10",
-            "fig12",
-            "fig13",
-            "table2",
-            "naive",
-            "ablation-order",
-            "ablation-cost",
-            "ablation-auto",
-            "ablation-positional",
-            "ablation-shard",
-            "ablation-workspace",
-            "ablation-kernel",
-            "ablation-bitmap",
-            "ablation-budget",
-            "ablation-index",
-            "ablation-spill",
-            "ablation-approx",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        experiments = EXPERIMENTS
+            .iter()
+            .filter(|&&e| e != "fig11" && e != "all")
+            .map(|s| s.to_string())
+            .collect();
     }
 
     println!(
@@ -125,7 +139,6 @@ fn main() {
             "ablation-order" => ablation_order(scale, &mut report),
             "ablation-cost" => ablation_cost(scale, &mut report),
             "ablation-auto" => ablation_auto(scale, &mut report),
-            "ablation-positional" => ablation_positional(scale, &mut report),
             "ablation-shard" => ablation_shard(scale, &mut report),
             "ablation-workspace" => ablation_workspace(scale, &mut report),
             "ablation-kernel" => ablation_kernel(scale, &mut report),
@@ -134,7 +147,7 @@ fn main() {
             "ablation-index" => ablation_index(scale, &mut report),
             "ablation-spill" => ablation_spill(scale, &mut report),
             "ablation-approx" => ablation_approx(scale, &mut report),
-            other => eprintln!("unknown experiment {other:?}, skipping"),
+            other => unreachable!("experiment {other:?} was validated above"),
         }
     }
     match report.write_json(&out_path, scale) {
@@ -428,45 +441,6 @@ fn ablation_order(scale: f64, report: &mut Report) {
     report.table(t);
 }
 
-/// Ablation (extension): the positional filter on top of the inline
-/// algorithm — same candidates, fewer verification merges.
-fn ablation_positional(scale: f64, report: &mut Report) {
-    let data = evaluation_corpus(scale).records;
-    let mut t = Table::new(
-        "Ablation — positional filter (edit join)",
-        &[
-            "Threshold",
-            "Inline verifs",
-            "Positional verifs",
-            "Inline ms",
-            "Positional ms",
-        ],
-    );
-    for &theta in &PAPER_THRESHOLDS {
-        let run_with = |alg: Algorithm| {
-            let start = Instant::now();
-            let out = edit_similarity_join(
-                &data,
-                &data,
-                &EditJoinConfig::new(theta).with_algorithm(alg),
-            )
-            .expect("edit join");
-            (out, start.elapsed())
-        };
-        let (inline, inline_t) = run_with(Algorithm::Inline);
-        let (positional, positional_t) = run_with(Algorithm::PositionalInline);
-        assert_eq!(inline.keys(), positional.keys(), "results must agree");
-        t.row(vec![
-            format!("{theta:.2}"),
-            count(inline.stats.verified_pairs),
-            count(positional.stats.verified_pairs),
-            ms(inline_t),
-            ms(positional_t),
-        ]);
-    }
-    report.table(t);
-}
-
 /// Ablation (§7): the cost-based Auto choice versus always-basic /
 /// always-inline across thresholds.
 fn ablation_cost(scale: f64, report: &mut Report) {
@@ -592,17 +566,10 @@ fn ablation_auto(scale: f64, report: &mut Report) {
         // kernel/width/thread domains each one supports.
         let mut configs: Vec<(String, bool, SsJoinConfig)> = Vec::new();
         for &threads in thread_levels {
-            let mut exec = ExecContext::new().with_threads(threads);
-            if threads > 1 {
-                exec = exec.with_shard_policy(ShardPolicy::token_shards());
-            }
             configs.push((
                 format!("auto/{threads}t"),
                 true,
-                SsJoinConfig {
-                    algorithm: Algorithm::Auto,
-                    exec,
-                },
+                SsJoinConfig::new(Algorithm::Auto).with_threads(threads),
             ));
         }
         for &threads in thread_levels {
@@ -610,7 +577,6 @@ fn ablation_auto(scale: f64, report: &mut Report) {
                 Algorithm::Basic,
                 Algorithm::PrefixFiltered,
                 Algorithm::Inline,
-                Algorithm::PositionalInline,
                 Algorithm::Partition,
             ] {
                 if alg == Algorithm::Partition && threads == 1 {
@@ -625,9 +591,6 @@ fn ablation_auto(scale: f64, report: &mut Report) {
                 for &kernel in kernel_opts {
                     for &width in width_opts {
                         let mut exec = ExecContext::new().with_threads(threads).with_kernel(kernel);
-                        if alg == Algorithm::Partition {
-                            exec = exec.with_shard_policy(ShardPolicy::token_shards());
-                        }
                         if let Some(w) = width {
                             exec = exec.with_bitmap_filter(true).with_signature_width(w);
                         }
@@ -660,7 +623,7 @@ fn ablation_auto(scale: f64, report: &mut Report) {
         let mut auto_pairs: Option<Vec<_>> = None;
         let mut plans = vec![String::from("-"); configs.len()];
         for rep in 0..reps {
-            for (i, (_, is_auto, cfg)) in configs.iter().enumerate() {
+            for (i, (desc, is_auto, cfg)) in configs.iter().enumerate() {
                 let start = Instant::now();
                 let out = ssjoin(c, c, &pred, cfg).expect("ssjoin");
                 let elapsed = start.elapsed();
@@ -670,6 +633,15 @@ fn ablation_auto(scale: f64, report: &mut Report) {
                 if rep == 0 {
                     if *is_auto {
                         plans[i] = out.stats.plan.map_or_else(|| "-".into(), |p| p.to_string());
+                    } else {
+                        // Every label names the code that ran: only the
+                        // Partition rows run token shards.
+                        assert_eq!(
+                            out.stats.shards > 0,
+                            cfg.algorithm == Algorithm::Partition,
+                            "{desc}: shards {}",
+                            out.stats.shards
+                        );
                     }
                     if let Some(prev) = &auto_pairs {
                         all_equal &= *prev == out.pairs;
@@ -723,29 +695,32 @@ fn ablation_auto(scale: f64, report: &mut Report) {
     );
 }
 
-/// Ablation (tentpole): the token-sharded partition executor and the bitmap
-/// signature filter on the inline Jaccard join at θ = 0.85 — parallel runs
-/// must reproduce the sequential output exactly while splitting Zipf-heavy
-/// tokens across workers.
+/// Ablation (tentpole): the two parallel strategies of the inline Jaccard
+/// join at θ = 0.85 — group chunks (`Inline`) and work-stealing token shards
+/// (`Partition`), the latter also with the bitmap signature filter. Every
+/// parallel run must reproduce the sequential output exactly.
 fn ablation_shard(scale: f64, report: &mut Report) {
     let data = evaluation_corpus(scale).records;
     let theta = 0.85;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let run_with = |exec: ExecContext| {
+    let run_with = |alg: Algorithm, exec: ExecContext| {
         let cfg = JaccardConfig::resemblance(theta)
-            .with_algorithm(Algorithm::Inline)
+            .with_algorithm(alg)
             .with_exec(exec);
         let start = Instant::now();
         let out = jaccard_join(&data, &data, &cfg).expect("jaccard join");
         (out, start.elapsed())
     };
 
-    let (seq, seq_t) = run_with(ExecContext::new());
+    let (seq, seq_t) = run_with(Algorithm::Inline, ExecContext::new());
     let seq_keys = seq.keys();
 
     let mut t = Table::new(
-        format!("Ablation — token-sharded parallel inline (Jaccard {theta}, cores={cores})"),
+        format!(
+            "Ablation — parallel inline, group chunks vs token shards (Jaccard {theta}, \
+             cores={cores})"
+        ),
         &[
             "Config",
             "Total ms",
@@ -772,15 +747,21 @@ fn ablation_shard(scale: f64, report: &mut Report) {
     let mut prunes_8t = 0u64;
     let mut effective_8t = 0u64;
     let mut all_equal = true;
-    for (threads, bitmap) in [(2usize, false), (8, false), (8, true)] {
+    for (alg, threads, bitmap) in [
+        (Algorithm::Inline, 2usize, false),
+        (Algorithm::Partition, 2, false),
+        (Algorithm::Inline, 8, false),
+        (Algorithm::Partition, 8, false),
+        (Algorithm::Partition, 8, true),
+    ] {
         let exec = ExecContext::new()
             .with_threads(threads)
-            .with_shard_policy(ShardPolicy::token_shards())
             .with_bitmap_filter(bitmap);
-        let (out, elapsed) = run_with(exec);
+        let (out, elapsed) = run_with(alg, exec);
         let equal = out.keys() == seq_keys;
         all_equal &= equal;
-        if threads == 8 {
+        let sharded = alg == Algorithm::Partition;
+        if sharded && threads == 8 {
             speedup_8t = seq_t.as_secs_f64() / elapsed.as_secs_f64().max(1e-9);
             effective_8t = out.stats.effective_threads;
         }
@@ -789,7 +770,12 @@ fn ablation_shard(scale: f64, report: &mut Report) {
         }
         t.row(vec![
             format!(
-                "{threads} threads, shards{}",
+                "{threads} threads, {}{}",
+                if sharded {
+                    "shards (Partition)"
+                } else {
+                    "group chunks (Inline)"
+                },
                 if bitmap { " + bitmap" } else { "" }
             ),
             ms(elapsed),
@@ -1352,7 +1338,7 @@ fn ablation_bitmap(scale: f64, report: &mut Report) {
 /// the checkpoint instrumentation is effectively free: attaching a budget
 /// whose limits can never trip costs <2% over the unbudgeted run on the
 /// Zipf-weighted panel. Second, a `Duration::ZERO` deadline aborts every
-/// executor — basic, prefix, inline, positional, and the token-sharded
+/// executor — basic, prefix, inline, and the token-sharded
 /// partition — in a small fraction of the unbounded runtime, returning the
 /// typed `BudgetExceeded(Deadline)` error instead of panicking.
 fn ablation_budget(scale: f64, report: &mut Report) {
@@ -1426,19 +1412,15 @@ fn ablation_budget(scale: f64, report: &mut Report) {
     let c = built.collection(h);
     let pred = ssjoin_core::OverlapPredicate::two_sided(theta);
 
-    let shards = ExecContext::new()
-        .with_threads(4)
-        .with_shard_policy(ShardPolicy::token_shards());
-    let configs: [(&str, Algorithm, ExecContext); 5] = [
+    let configs: [(&str, Algorithm, ExecContext); 4] = [
         ("basic", Algorithm::Basic, ExecContext::new()),
         ("prefix", Algorithm::PrefixFiltered, ExecContext::new()),
         ("inline", Algorithm::Inline, ExecContext::new()),
         (
-            "positional",
-            Algorithm::PositionalInline,
-            ExecContext::new(),
+            "partition (4 threads)",
+            Algorithm::Partition,
+            ExecContext::new().with_threads(4),
         ),
-        ("partition (4 threads)", Algorithm::Inline, shards),
     ];
     let mut d = Table::new(
         "Ablation — Duration::ZERO deadline abort, per executor (core join only)",

@@ -8,7 +8,7 @@
 //! [`crate::SsJoinError::BudgetExceeded`], and the crate-internal
 //! [`BudgetState`] the executors consult cooperatively.
 //!
-//! The contract, shared by all five executors:
+//! The contract, shared by all four executors:
 //!
 //! * Limits are checked at **chunk/shard granularity** — once per probe
 //!   group (group-chunked executors) or once per rank of a token shard

@@ -4,7 +4,7 @@
 //! basic and prefix-filtered implementations", motivating "a cost-based
 //! decision for choosing the appropriate implementation" — left as future
 //! work there (§7). This module implements that decision over the *whole*
-//! execution space the system has grown since: five executors × three
+//! execution space the system has grown since: four executors × three
 //! overlap kernels × bitmap-signature widths × the effective thread count.
 //!
 //! The model's inputs come from two places:
@@ -31,7 +31,7 @@
 
 use super::prefix::{prefix_lengths_into, Side};
 use super::workspace::JoinWorkspace;
-use super::{inline, Algorithm, ExecContext, ShardPolicy};
+use super::{run_algorithm, Algorithm, ExecContext};
 use crate::budget::BudgetState;
 use crate::kernel::{verify_cost_model, OverlapKernel, GALLOP_CROSSOVER};
 use crate::predicate::{Interval, OverlapPredicate};
@@ -71,18 +71,6 @@ const SHARD_OVERHEAD: f64 = 1.08;
 /// (rebuilding and probing a per-candidate hash table), relative to one
 /// merge touch.
 const JOIN_BACK_FACTOR: f64 = 2.5;
-
-/// Extra candidate-join work of the positional filter (carrying and
-/// checking positions). Calibrated against the `ablation-positional`
-/// panel: even where the positional bound removes 50–70% of the
-/// verifications, the bookkeeping makes the executor 1.2–1.7× slower per
-/// candidate tuple, so positional only pays off when verification itself
-/// dwarfs the candidate join.
-const POSITIONAL_JOIN_FACTOR: f64 = 1.75;
-
-/// Verification work surviving the positional filter's partial-overlap
-/// prune, relative to the plain inline verification.
-const POSITIONAL_VERIFY_DISCOUNT: f64 = 0.85;
 
 /// Ceiling on the fraction of candidates the bitmap filter can prune for a
 /// maximally selective predicate at infinite width.
@@ -128,9 +116,6 @@ pub struct PlanRequest {
     /// Thread budget (already clamped to the host): parallel plans may use
     /// up to this many workers, never more.
     pub threads: usize,
-    /// Whether the token-sharded partition executor is permitted (the
-    /// context's shard policy allows token shards).
-    pub token_shards: bool,
     /// Signature width the plan must use if it enables the bitmap filter;
     /// `None` leaves the width free. [`crate::CorpusIndex`] pins this to
     /// its build-time width.
@@ -142,7 +127,6 @@ impl PlanRequest {
     pub fn from_ctx(ctx: &ExecContext) -> Self {
         Self {
             threads: ctx.threads,
-            token_shards: matches!(ctx.shard, ShardPolicy::TokenShards { .. }),
             width: None,
         }
     }
@@ -272,14 +256,6 @@ impl CostEstimate {
                         + p
                         + filtered_verify(width, verify_cost_model(kernel, l, rho, sigma))
                 }
-                Algorithm::PositionalInline => {
-                    prefix_build
-                        + p * POSITIONAL_JOIN_FACTOR
-                        + filtered_verify(
-                            width,
-                            POSITIONAL_VERIFY_DISCOUNT * verify_cost_model(kernel, l, rho, sigma),
-                        )
-                }
                 // Auto never appears in the candidate enumeration below.
                 Algorithm::Auto => f64::INFINITY,
             }
@@ -318,13 +294,12 @@ impl CostEstimate {
                 Algorithm::Basic,
                 Algorithm::PrefixFiltered,
                 Algorithm::Inline,
-                Algorithm::PositionalInline,
                 Algorithm::Partition,
             ] {
                 // The partition executor is only a candidate where it can
                 // actually run parallel token shards; at one thread it is
                 // the inline plan with extra steps.
-                if alg == Algorithm::Partition && (t == 1 || !req.token_shards) {
+                if alg == Algorithm::Partition && t == 1 {
                     continue;
                 }
                 // The basic plan computes overlaps by accumulation, not by
@@ -665,26 +640,14 @@ pub fn estimate_costs(
 }
 
 /// Materialize a plan choice onto a base context: the planner's knobs
-/// (kernel, bitmap filter, signature width, threads, shard policy) override
-/// the caller's; operational settings (stats level, budget, cancellation)
-/// are preserved.
+/// (kernel, bitmap filter, signature width, threads) override the caller's;
+/// operational settings (stats level, budget, cancellation) are preserved.
 pub(crate) fn apply_plan(ctx: &ExecContext, choice: &PlanChoice) -> ExecContext {
     let mut out = ctx.clone();
     out.kernel = choice.kernel;
     out.bitmap_filter = choice.bitmap_filter;
     out.signature_width = choice.signature_width;
     out.threads = choice.threads;
-    out.shard = match (choice.algorithm, ctx.shard) {
-        // The partition plan runs token shards; keep the caller's
-        // oversubscription when they configured one.
-        (Algorithm::Partition, ShardPolicy::TokenShards { oversubscribe }) => {
-            ShardPolicy::TokenShards { oversubscribe }
-        }
-        (Algorithm::Partition, _) => ShardPolicy::token_shards(),
-        // Chunked plans must not re-route into the partition executor
-        // behind the planner's back.
-        _ => ShardPolicy::GroupChunks,
-    };
     out
 }
 
@@ -698,15 +661,13 @@ pub(super) fn run(
 ) -> (SsJoinStats, Algorithm) {
     let est = estimate_costs_into(r, s, pred, ws);
     let choice = est.plan(&PlanRequest::from_ctx(ctx));
+    debug_assert_ne!(
+        choice.algorithm,
+        Algorithm::Auto,
+        "the planner never emits Auto"
+    );
     let pctx = apply_plan(ctx, &choice);
-    let mut stats = match choice.algorithm {
-        Algorithm::Basic => super::basic::run(r, s, pred, &pctx, budget, ws),
-        Algorithm::PrefixFiltered => super::prefix::run(r, s, pred, &pctx, budget, ws),
-        Algorithm::PositionalInline => super::positional::run(r, s, pred, &pctx, budget, ws),
-        Algorithm::Partition => super::partition::run(r, s, pred, &pctx, budget, ws),
-        // Inline — and, defensively, anything the planner never emits.
-        _ => inline::run(r, s, pred, &pctx, budget, ws),
-    };
+    let (mut stats, _) = run_algorithm(choice.algorithm, r, s, pred, &pctx, budget, ws);
     stats.plan = Some(choice);
     (stats, choice.algorithm)
 }
@@ -866,7 +827,7 @@ mod tests {
     /// A large, skewed synthetic estimate where parallel execution clearly
     /// pays: the planner must spend the whole thread budget, and under heavy
     /// length skew (chunked workers serialize on heavy sets) it must prefer
-    /// the work-stealing partition executor when token shards are allowed.
+    /// the work-stealing partition executor.
     /// Pure model — runs the same on any host, including single-core CI.
     #[test]
     fn plan_picks_partition_for_large_parallel_work() {
@@ -882,20 +843,10 @@ mod tests {
         };
         let choice = est.plan(&PlanRequest {
             threads: 8,
-            token_shards: true,
             width: None,
         });
         assert_eq!(choice.algorithm, Algorithm::Partition, "{choice:?}");
         assert_eq!(choice.threads, 8, "{choice:?}");
-        // Without token shards the plan must still use the thread budget —
-        // on the chunked path.
-        let chunked = est.plan(&PlanRequest {
-            threads: 8,
-            token_shards: false,
-            width: None,
-        });
-        assert_ne!(chunked.algorithm, Algorithm::Partition);
-        assert_eq!(chunked.threads, 8, "{chunked:?}");
     }
 
     #[test]
@@ -912,7 +863,6 @@ mod tests {
         };
         let choice = est.plan(&PlanRequest {
             threads: 8,
-            token_shards: true,
             width: None,
         });
         assert_eq!(choice.threads, 1, "{choice:?}");
@@ -933,7 +883,6 @@ mod tests {
         };
         let pinned = est.plan(&PlanRequest {
             threads: 1,
-            token_shards: true,
             width: Some(SignatureWidth::W4),
         });
         // Long merges and a highly selective predicate: the filter pays for

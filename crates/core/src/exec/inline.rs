@@ -23,9 +23,6 @@ pub(super) fn run(
     budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
-    if ctx.use_token_shards() {
-        return super::partition::run(r, s, pred, ctx, budget, ws);
-    }
     run_prefix_family(r, s, pred, ctx, true, budget, ws)
 }
 

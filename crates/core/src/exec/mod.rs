@@ -11,7 +11,6 @@ mod auto;
 mod basic;
 mod inline;
 mod partition;
-mod positional;
 mod prefix;
 mod workspace;
 
@@ -21,7 +20,6 @@ pub use workspace::JoinWorkspace;
 pub(crate) use auto::{apply_plan, effective_threads, estimate_probe_costs_into};
 pub(crate) use basic::probe_basic;
 pub(crate) use partition::probe_partition;
-pub(crate) use positional::probe_positional;
 pub(crate) use prefix::{prefix_lengths_into, probe_prefix_family, Side};
 pub(crate) use workspace::{build_csr_parallel, vec_bytes, CsrIndex, WorkerScratch};
 
@@ -66,19 +64,15 @@ pub enum Algorithm {
     /// relations to regroup and verify.
     PrefixFiltered,
     /// Figure 9: prefix filter with the inline set representation —
-    /// verification merges the carried sets directly.
+    /// verification merges the carried sets directly. With `threads > 1`
+    /// the R group ids are split into contiguous chunks, one per worker,
+    /// like [`Algorithm::Basic`] and [`Algorithm::PrefixFiltered`].
     #[default]
     Inline,
-    /// The inline algorithm plus the positional filter: candidates whose
-    /// position-aware overlap upper bound cannot reach the required
-    /// threshold are pruned before the verification merge. An extension of
-    /// the paper's prefix filter in the direction later taken by PPJoin
-    /// (Xiao et al., WWW 2008).
-    PositionalInline,
     /// The inline algorithm executed over token-range shards with work
-    /// stealing — the skew-robust parallel executor. Requires `threads > 1`
-    /// to differ from `Inline`; at one thread it degenerates to the inline
-    /// plan.
+    /// stealing — the skew-robust parallel executor. It runs token shards
+    /// at every thread count; at one thread a single worker drains them
+    /// all, with the same output as [`Algorithm::Inline`].
     Partition,
     /// Cost-based choice over the whole configuration space — executor ×
     /// overlap kernel × bitmap-signature width × thread count — from
@@ -87,43 +81,10 @@ pub enum Algorithm {
     Auto,
 }
 
-/// How parallel executors carve the candidate space into units of work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardPolicy {
-    /// Contiguous chunks of R group ids, one per worker — the legacy
-    /// strategy. Simple, but a few heavy probe groups can serialize one
-    /// worker.
-    GroupChunks,
-    /// Shards are contiguous ranges of element *ranks*, sized by the
-    /// posting-list product they induce, executed with work stealing. Each
-    /// shard owns a disjoint slice of the inverted index, so Zipf-heavy
-    /// tokens are split instead of landing on one worker. Only the
-    /// prefix-family executors support this; others fall back to
-    /// [`ShardPolicy::GroupChunks`].
-    TokenShards {
-        /// Shards planned per worker thread (more shards → finer stealing
-        /// granularity; clamped to at least 1).
-        oversubscribe: usize,
-    },
-}
-
-impl ShardPolicy {
-    /// The default token-sharded policy.
-    pub const fn token_shards() -> Self {
-        ShardPolicy::TokenShards { oversubscribe: 8 }
-    }
-}
-
-impl Default for ShardPolicy {
-    fn default() -> Self {
-        Self::token_shards()
-    }
-}
-
 pub use crate::stats::StatsLevel;
 
-/// Execution context shared by every physical executor: thread count, shard
-/// policy, candidate filters, and instrumentation level. Executors take it
+/// Execution context shared by every physical executor: thread count,
+/// candidate filters, and instrumentation level. Executors take it
 /// by reference; [`SsJoinConfig`] is a builder over it plus the algorithm
 /// choice.
 ///
@@ -133,8 +94,6 @@ pub use crate::stats::StatsLevel;
 pub struct ExecContext {
     /// Worker threads for the probe/verify loops (1 = sequential).
     pub threads: usize,
-    /// Work-partitioning strategy used when `threads > 1`.
-    pub shard: ShardPolicy,
     /// Reject candidates whose bitmap-signature overlap bound cannot reach
     /// the required overlap, before the verification merge. Lossless;
     /// changes counters but never output.
@@ -173,7 +132,6 @@ impl ExecContext {
     pub fn new() -> Self {
         Self {
             threads: 1,
-            shard: ShardPolicy::default(),
             bitmap_filter: false,
             signature_width: SignatureWidth::default(),
             kernel: OverlapKernel::default(),
@@ -187,12 +145,6 @@ impl ExecContext {
     /// Set the worker thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Set the shard policy.
-    pub fn with_shard_policy(mut self, shard: ShardPolicy) -> Self {
-        self.shard = shard;
         self
     }
 
@@ -250,11 +202,6 @@ impl ExecContext {
     pub(crate) fn active_approx(&self) -> Option<crate::approx::ApproxSpec> {
         self.approx.filter(crate::approx::ApproxSpec::is_active)
     }
-
-    /// True when the token-sharded partition executor should run.
-    pub(crate) fn use_token_shards(&self) -> bool {
-        self.threads > 1 && matches!(self.shard, ShardPolicy::TokenShards { .. })
-    }
 }
 
 impl Default for ExecContext {
@@ -269,7 +216,7 @@ impl Default for ExecContext {
 pub struct SsJoinConfig {
     /// Which physical algorithm to run.
     pub algorithm: Algorithm,
-    /// Threads, shard policy, filters, instrumentation.
+    /// Threads, filters, instrumentation.
     pub exec: ExecContext,
 }
 
@@ -291,12 +238,6 @@ impl SsJoinConfig {
     /// Set the worker thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.exec.threads = threads;
-        self
-    }
-
-    /// Set the shard policy.
-    pub fn with_shard_policy(mut self, shard: ShardPolicy) -> Self {
-        self.exec.shard = shard;
         self
     }
 
@@ -532,10 +473,6 @@ pub(crate) fn run_algorithm(
             Algorithm::PrefixFiltered,
         ),
         Algorithm::Inline => (inline::run(r, s, pred, ctx, budget, ws), Algorithm::Inline),
-        Algorithm::PositionalInline => (
-            positional::run(r, s, pred, ctx, budget, ws),
-            Algorithm::PositionalInline,
-        ),
         Algorithm::Partition => (
             partition::run(r, s, pred, ctx, budget, ws),
             Algorithm::Partition,
@@ -671,7 +608,6 @@ mod tests {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::PositionalInline,
             Algorithm::Partition,
         ] {
             let out = ssjoin(

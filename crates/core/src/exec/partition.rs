@@ -1,6 +1,6 @@
 //! Token-sharded parallel executor for the inline algorithm.
 //!
-//! The legacy parallel strategy ([`super::run_chunked`]) splits the R
+//! The chunked parallel strategy ([`super::run_chunked`]) splits the R
 //! collection into contiguous group-id chunks. Under Zipfian element
 //! frequencies that is a poor unit of work: a chunk holding groups whose
 //! prefixes contain frequent tokens scans posting lists orders of magnitude
@@ -31,12 +31,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use super::prefix::{prefix_lengths_into, Side};
 use super::workspace::{build_csr_parallel, CsrIndex, JoinWorkspace, WorkerScratch};
-use super::{ExecContext, JoinPair, ShardPolicy};
+use super::{ExecContext, JoinPair};
 use crate::budget::BudgetState;
 use crate::kernel::verify_overlap;
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
 use crate::stats::{timed_phase, Phase, SsJoinStats};
+
+/// Shards planned per worker thread: more shards give finer stealing
+/// granularity at a little more planning and merge overhead.
+const OVERSUBSCRIBE: usize = 8;
 
 /// One unit of parallel work: a contiguous range of element ranks, plus an
 /// optional sub-range of the R posting list when a single heavy rank was
@@ -51,7 +55,7 @@ pub(crate) struct Shard {
     cost: u64,
 }
 
-/// Pack ranks into at most `threads · oversubscribe` shards of near-equal
+/// Pack ranks into at most `threads · OVERSUBSCRIBE` shards of near-equal
 /// planned cost, splitting individual ranks whose posting product exceeds
 /// twice the target. Writes the plan into the reusable `shards` buffer and
 /// returns `(cost_total, cost_max)`.
@@ -60,7 +64,6 @@ fn plan_shards_into(
     s_index: &CsrIndex,
     universe: usize,
     threads: usize,
-    oversubscribe: usize,
     shards: &mut Vec<Shard>,
 ) -> (u64, u64) {
     shards.clear();
@@ -70,7 +73,7 @@ fn plan_shards_into(
         rp * sp
     };
     let total: u64 = (0..universe).map(rank_cost).sum();
-    let target_shards = (threads * oversubscribe.max(1)).max(1) as u64;
+    let target_shards = (threads * OVERSUBSCRIBE).max(1) as u64;
     let target = (total / target_shards).max(1);
 
     let mut cost_max = 0u64;
@@ -232,10 +235,6 @@ pub(super) fn run(
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
     let threads = ctx.threads.max(1);
-    let oversubscribe = match ctx.shard {
-        ShardPolicy::TokenShards { oversubscribe } => oversubscribe.max(1),
-        ShardPolicy::GroupChunks => 1,
-    };
     let mut stats = SsJoinStats::default();
     if !budget.proceed() {
         return stats;
@@ -277,19 +276,7 @@ pub(super) fn run(
             ..
         } = &mut *ws;
         shard_phase(
-            r,
-            s,
-            pred,
-            ctx,
-            budget,
-            r_index,
-            s_index,
-            r_lens,
-            s_lens,
-            workers,
-            shards,
-            threads,
-            oversubscribe,
+            r, s, pred, ctx, budget, r_index, s_index, r_lens, s_lens, workers, shards, threads,
         )
     });
     stats.merge(&inner);
@@ -321,25 +308,18 @@ fn shard_phase(
     workers: &mut [WorkerScratch],
     shards: &mut Vec<Shard>,
     threads: usize,
-    oversubscribe: usize,
 ) -> SsJoinStats {
     {
-        let (total, cost_max) = plan_shards_into(
-            r_index,
-            s_index,
-            r.universe_size(),
-            threads,
-            oversubscribe,
-            shards,
-        );
+        let (total, cost_max) =
+            plan_shards_into(r_index, s_index, r.universe_size(), threads, shards);
         let mut agg = SsJoinStats::default();
         agg.shards = shards.len() as u64;
         agg.shard_cost_max = cost_max;
         agg.shard_cost_total = total;
 
-        // The claim table is parallel-only bookkeeping; the zero-allocation
-        // reuse contract covers the single-threaded hot path, which never
-        // reaches this executor through the public API.
+        // The claim table is per-run bookkeeping; the zero-allocation reuse
+        // contract covers the sequential group-at-a-time executors, not
+        // this one.
         let taken: Vec<AtomicBool> = (0..shards.len()).map(|_| AtomicBool::new(false)).collect();
         let steals = AtomicU64::new(0);
         let shards = &*shards;
@@ -429,10 +409,6 @@ pub(crate) fn probe_partition(
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
     let threads = ctx.threads.max(1);
-    let oversubscribe = match ctx.shard {
-        ShardPolicy::TokenShards { oversubscribe } => oversubscribe.max(1),
-        ShardPolicy::GroupChunks => 1,
-    };
     let mut stats = SsJoinStats::default();
     if !budget.proceed() {
         return stats;
@@ -464,19 +440,7 @@ pub(crate) fn probe_partition(
             ..
         } = &mut *ws;
         shard_phase(
-            r,
-            s,
-            pred,
-            ctx,
-            budget,
-            r_index,
-            s_index,
-            r_lens,
-            s_lens,
-            workers,
-            shards,
-            threads,
-            oversubscribe,
+            r, s, pred, ctx, budget, r_index, s_index, r_lens, s_lens, workers, shards, threads,
         )
     });
     stats.merge(&inner);
@@ -571,9 +535,7 @@ mod tests {
     fn zipf_heavy_token_is_split() {
         let c = build(zipf_groups(200), WeightScheme::Unweighted);
         let pred = OverlapPredicate::absolute(4.0);
-        let ctx = ExecContext::new()
-            .with_threads(4)
-            .with_shard_policy(ShardPolicy::TokenShards { oversubscribe: 4 });
+        let ctx = ExecContext::new().with_threads(4);
         let (pairs, stats) = collect(|ws| run(&c, &c, &pred, &ctx, &BudgetState::unlimited(), ws));
         let (seq_pairs, _) = collect(|ws| {
             inline::run(
@@ -624,7 +586,7 @@ mod tests {
         s_index.build(&c, Some(&s_lens));
         let mut shards = Vec::new();
         let (cost_total, _) =
-            plan_shards_into(&r_index, &s_index, c.universe_size(), 4, 4, &mut shards);
+            plan_shards_into(&r_index, &s_index, c.universe_size(), 4, &mut shards);
         // Every rank is covered exactly once (counting split sub-shards via
         // their posting sub-ranges).
         let mut rank_cover = vec![0usize; c.universe_size()];

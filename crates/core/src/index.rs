@@ -41,9 +41,9 @@ use crate::budget::{estimate_memory_bytes, BudgetState};
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::exec::{
     apply_plan, build_csr_parallel, effective_threads, estimate_probe_costs_into,
-    prefix_lengths_into, probe_basic, probe_partition, probe_positional, probe_prefix_family,
-    vec_bytes, Algorithm, CsrIndex, JoinWorkspace, PlanRequest, ShardPolicy, Side, SsJoinConfig,
-    SsJoinRun, WorkerScratch,
+    prefix_lengths_into, probe_basic, probe_partition, probe_prefix_family, vec_bytes, Algorithm,
+    CsrIndex, ExecContext, JoinWorkspace, PlanRequest, Side, SsJoinConfig, SsJoinRun,
+    WorkerScratch,
 };
 use crate::predicate::OverlapPredicate;
 use crate::set::{SetCollection, SignatureWidth};
@@ -436,115 +436,7 @@ impl CorpusIndex {
                 ws,
             )
         } else {
-            match config.algorithm {
-                Algorithm::Basic => (
-                    probe_basic(r, s, &self.full_index, &self.pred, ctx, &budget, ws),
-                    Algorithm::Basic,
-                ),
-                Algorithm::PrefixFiltered => (
-                    probe_prefix_family(
-                        r,
-                        s,
-                        &self.prefix_index,
-                        self.prefix_tuples,
-                        &self.pred,
-                        ctx,
-                        false,
-                        &budget,
-                        ws,
-                    ),
-                    Algorithm::PrefixFiltered,
-                ),
-                Algorithm::Inline => (self.probe_inline(r, ctx, &budget, ws), Algorithm::Inline),
-                Algorithm::PositionalInline => (
-                    probe_positional(
-                        r,
-                        s,
-                        &self.prefix_index,
-                        self.prefix_tuples,
-                        &self.pred,
-                        ctx,
-                        &budget,
-                        ws,
-                    ),
-                    Algorithm::PositionalInline,
-                ),
-                Algorithm::Partition => (
-                    probe_partition(
-                        r,
-                        s,
-                        &self.prefix_index,
-                        &self.prefix_lens,
-                        self.prefix_tuples,
-                        &self.pred,
-                        ctx,
-                        &budget,
-                        ws,
-                    ),
-                    Algorithm::Partition,
-                ),
-                Algorithm::Auto => {
-                    // Probe-time planning from statistics frozen at (re)build
-                    // time — the corpus token- and prefix-frequency histograms —
-                    // so the estimate costs O(probe batch), never a corpus scan.
-                    // The signature width is pinned to the one this index was
-                    // built with.
-                    let est = estimate_probe_costs_into(
-                        r,
-                        s,
-                        &self.prefix_freq,
-                        self.prefix_tuples,
-                        &self.pred,
-                        ws,
-                    );
-                    let choice = est.plan(&PlanRequest {
-                        threads: ctx.threads,
-                        token_shards: matches!(ctx.shard, ShardPolicy::TokenShards { .. }),
-                        width: Some(self.signature_width),
-                    });
-                    let pctx = apply_plan(ctx, &choice);
-                    let mut stats = match choice.algorithm {
-                        Algorithm::Basic => {
-                            probe_basic(r, s, &self.full_index, &self.pred, &pctx, &budget, ws)
-                        }
-                        Algorithm::PrefixFiltered => probe_prefix_family(
-                            r,
-                            s,
-                            &self.prefix_index,
-                            self.prefix_tuples,
-                            &self.pred,
-                            &pctx,
-                            false,
-                            &budget,
-                            ws,
-                        ),
-                        Algorithm::PositionalInline => probe_positional(
-                            r,
-                            s,
-                            &self.prefix_index,
-                            self.prefix_tuples,
-                            &self.pred,
-                            &pctx,
-                            &budget,
-                            ws,
-                        ),
-                        Algorithm::Partition => probe_partition(
-                            r,
-                            s,
-                            &self.prefix_index,
-                            &self.prefix_lens,
-                            self.prefix_tuples,
-                            &self.pred,
-                            &pctx,
-                            &budget,
-                            ws,
-                        ),
-                        _ => self.probe_inline(r, &pctx, &budget, ws),
-                    };
-                    stats.plan = Some(choice);
-                    (stats, choice.algorithm)
-                }
-            }
+            self.probe_algorithm(config.algorithm, r, ctx, &budget, ws)
         };
         if from_spill {
             // The spilled join covered the whole arena — epoch tail
@@ -596,19 +488,33 @@ impl CorpusIndex {
         Ok((stats, used))
     }
 
-    /// Inline-family dispatch, mirroring the one-shot executor's routing to
-    /// the token-sharded partition executor when parallel.
-    fn probe_inline(
+    /// Resident probe dispatch: the index-backed counterpart of the one-shot
+    /// `run_algorithm`, returning the stats and the algorithm that ran.
+    fn probe_algorithm(
         &self,
+        algorithm: Algorithm,
         r: &SetCollection,
-        ctx: &crate::exec::ExecContext,
+        ctx: &ExecContext,
         budget: &BudgetState,
         ws: &mut JoinWorkspace,
-    ) -> SsJoinStats {
-        if ctx.use_token_shards() {
-            return probe_partition(
+    ) -> (SsJoinStats, Algorithm) {
+        let s = &self.corpus;
+        let stats = match algorithm {
+            Algorithm::Basic => probe_basic(r, s, &self.full_index, &self.pred, ctx, budget, ws),
+            Algorithm::PrefixFiltered | Algorithm::Inline => probe_prefix_family(
                 r,
-                &self.corpus,
+                s,
+                &self.prefix_index,
+                self.prefix_tuples,
+                &self.pred,
+                ctx,
+                algorithm == Algorithm::Inline,
+                budget,
+                ws,
+            ),
+            Algorithm::Partition => probe_partition(
+                r,
+                s,
                 &self.prefix_index,
                 &self.prefix_lens,
                 self.prefix_tuples,
@@ -616,19 +522,38 @@ impl CorpusIndex {
                 ctx,
                 budget,
                 ws,
-            );
-        }
-        probe_prefix_family(
-            r,
-            &self.corpus,
-            &self.prefix_index,
-            self.prefix_tuples,
-            &self.pred,
-            ctx,
-            true,
-            budget,
-            ws,
-        )
+            ),
+            Algorithm::Auto => {
+                // Probe-time planning from statistics frozen at (re)build
+                // time — the corpus token- and prefix-frequency histograms —
+                // so the estimate costs O(probe batch), never a corpus scan.
+                // The signature width is pinned to the one this index was
+                // built with.
+                let est = estimate_probe_costs_into(
+                    r,
+                    s,
+                    &self.prefix_freq,
+                    self.prefix_tuples,
+                    &self.pred,
+                    ws,
+                );
+                let choice = est.plan(&PlanRequest {
+                    threads: ctx.threads,
+                    width: Some(self.signature_width),
+                });
+                debug_assert_ne!(
+                    choice.algorithm,
+                    Algorithm::Auto,
+                    "the planner never emits Auto"
+                );
+                let pctx = apply_plan(ctx, &choice);
+                let (mut stats, used) =
+                    self.probe_algorithm(choice.algorithm, r, &pctx, budget, ws);
+                stats.plan = Some(choice);
+                return (stats, used);
+            }
+        };
+        (stats, algorithm)
     }
 
     /// Brute-force join of the batch against the un-indexed epoch tail.

@@ -88,7 +88,7 @@ pub use builder::{
 pub use error::{SsJoinError, SsJoinResult};
 pub use exec::{
     estimate_costs, ssjoin, ssjoin_with, Algorithm, CostEstimate, ExecContext, JoinPair,
-    JoinWorkspace, PlanChoice, PlanRequest, ShardPolicy, SsJoinConfig, SsJoinOutput, SsJoinRun,
+    JoinWorkspace, PlanChoice, PlanRequest, SsJoinConfig, SsJoinOutput, SsJoinRun,
 };
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use index::{CorpusIndex, CorpusIndexOptions};

@@ -7,8 +7,8 @@ use ssjoin_core::kernel::{overlap_at_least, overlap_gallop, verify_overlap};
 use ssjoin_core::plan::{basic_plan, collection_to_relation, inline_plan, prefix_plan, run_plan};
 use ssjoin_core::{
     ssjoin, Algorithm, CorpusIndex, CorpusIndexOptions, ElementOrder, ExecContext, JoinPair,
-    JoinWorkspace, OverlapKernel, OverlapPredicate, SetCollection, ShardPolicy, SignatureWidth,
-    SsJoinConfig, SsJoinInputBuilder, SsJoinStats, Weight, WeightScheme,
+    JoinWorkspace, OverlapKernel, OverlapPredicate, SetCollection, SignatureWidth, SsJoinConfig,
+    SsJoinInputBuilder, SsJoinStats, Weight, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 use std::sync::Arc;
@@ -104,7 +104,6 @@ fn executors_match_oracle() {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::PositionalInline,
             Algorithm::Partition,
             Algorithm::Auto,
         ] {
@@ -178,9 +177,10 @@ fn relational_plans_match_fast_path() {
     }
 }
 
-/// Parallel execution — under both shard policies and with the bitmap
-/// signature filter on or off — is exactly equivalent to sequential: same
-/// pairs, same overlaps, for every algorithm.
+/// Parallel execution — group chunks (`Inline` and the other chunked
+/// executors) and token shards (`Partition`), with the bitmap signature
+/// filter on or off — is exactly equivalent to sequential: same pairs, same
+/// overlaps, for every algorithm.
 #[test]
 fn parallel_equals_sequential() {
     for seed in 0..24u64 {
@@ -193,30 +193,58 @@ fn parallel_equals_sequential() {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::PositionalInline,
             Algorithm::Partition,
             Algorithm::Auto,
         ] {
             let seq = ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg)).unwrap();
             for threads in [2usize, 8] {
-                for (shard, bitmap) in [
-                    (ShardPolicy::GroupChunks, false),
-                    (ShardPolicy::token_shards(), false),
-                    (ShardPolicy::token_shards(), true),
-                ] {
+                for bitmap in [false, true] {
                     let ctx = ExecContext::new()
                         .with_threads(threads)
-                        .with_shard_policy(shard)
                         .with_bitmap_filter(bitmap);
                     let par =
                         ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg).with_exec(ctx)).unwrap();
                     assert_eq!(
                         seq.pairs, par.pairs,
-                        "seed {seed}, alg {alg:?}, threads {threads}, \
-                         shard {shard:?}, bitmap {bitmap}"
+                        "seed {seed}, alg {alg:?}, threads {threads}, bitmap {bitmap}"
                     );
                 }
             }
+        }
+    }
+}
+
+/// The algorithm alone names the parallel strategy: `Inline` never runs
+/// token shards at any thread count, and `Partition` always does on a
+/// non-empty input — even at one thread, so this holds on any host.
+#[test]
+fn algorithm_alone_picks_the_executor() {
+    for seed in 0..8u64 {
+        let mut rng = StdRng::seed_from_u64(0xE8EC + seed);
+        let pred = random_predicate(&mut rng);
+        let mut groups = random_groups(&mut rng);
+        groups.push(vec!["a".to_string(), "b".to_string()]);
+        let (r, s) = build_two(
+            groups.clone(),
+            groups,
+            WeightScheme::Idf,
+            random_order(&mut rng),
+        );
+        for threads in [1usize, 2, 8] {
+            let run = |alg| {
+                ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg).with_threads(threads))
+                    .unwrap()
+                    .stats
+            };
+            assert_eq!(
+                run(Algorithm::Inline).shards,
+                0,
+                "seed {seed}, threads {threads}"
+            );
+            assert!(
+                run(Algorithm::Partition).shards > 0,
+                "seed {seed}, threads {threads}"
+            );
         }
     }
 }
@@ -303,7 +331,6 @@ fn kernel_choice_never_changes_output() {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::PositionalInline,
             Algorithm::Partition,
             Algorithm::Auto,
         ] {
@@ -352,7 +379,6 @@ fn signature_width_never_changes_output() {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::PositionalInline,
             Algorithm::Partition,
             Algorithm::Auto,
         ] {
@@ -410,7 +436,6 @@ fn auto_matches_every_forced_configuration() {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::PositionalInline,
             Algorithm::Partition,
         ] {
             for kernel in [
@@ -459,7 +484,6 @@ fn auto_matches_every_forced_configuration() {
                 Algorithm::Basic,
                 Algorithm::PrefixFiltered,
                 Algorithm::Inline,
-                Algorithm::PositionalInline,
                 Algorithm::Partition,
             ] {
                 for threads in [1usize, 4] {

@@ -87,7 +87,6 @@ fn spilled_output_bit_identical_to_resident() {
         Algorithm::Basic,
         Algorithm::PrefixFiltered,
         Algorithm::Inline,
-        Algorithm::PositionalInline,
         Algorithm::Partition,
         Algorithm::Auto,
     ] {

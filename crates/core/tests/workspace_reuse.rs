@@ -7,7 +7,7 @@
 use ssjoin_core::kernel::OverlapKernel;
 use ssjoin_core::{
     ssjoin, ssjoin_with, Algorithm, ElementOrder, JoinPair, JoinWorkspace, OverlapPredicate,
-    SetCollection, ShardPolicy, SsJoinConfig, SsJoinInputBuilder, WeightScheme,
+    SetCollection, SsJoinConfig, SsJoinInputBuilder, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 
@@ -51,7 +51,7 @@ fn reused_workspace_matches_fresh_matrix() {
         Algorithm::Basic,
         Algorithm::PrefixFiltered,
         Algorithm::Inline,
-        Algorithm::PositionalInline,
+        Algorithm::Partition,
         Algorithm::Auto,
     ];
     let kernels = [
@@ -76,8 +76,7 @@ fn reused_workspace_matches_fresh_matrix() {
                     let pred = random_predicate(&mut rng);
                     let config = SsJoinConfig::new(algorithm)
                         .with_kernel(kernel)
-                        .with_threads(threads)
-                        .with_shard_policy(ShardPolicy::token_shards());
+                        .with_threads(threads);
                     let fresh = ssjoin(&c, &c, &pred, &config).unwrap();
                     let reused = ssjoin_with(&c, &c, &pred, &config, &mut ws).unwrap();
                     assert_eq!(
@@ -121,7 +120,7 @@ fn no_stale_state_leaks_across_runs() {
         Algorithm::Basic,
         Algorithm::PrefixFiltered,
         Algorithm::Inline,
-        Algorithm::PositionalInline,
+        Algorithm::Partition,
     ] {
         for threads in [1usize, 4] {
             let mut ws = JoinWorkspace::new();
@@ -178,11 +177,7 @@ fn outputs_sorted_without_global_sort() {
         let c = build_self(random_groups(&mut rng, 40), WeightScheme::Idf);
         let pred = random_predicate(&mut rng);
         for threads in [1usize, 3] {
-            for algorithm in [
-                Algorithm::Basic,
-                Algorithm::Inline,
-                Algorithm::PositionalInline,
-            ] {
+            for algorithm in [Algorithm::Basic, Algorithm::Inline, Algorithm::Partition] {
                 let config = SsJoinConfig::new(algorithm).with_threads(threads);
                 let run = ssjoin_with(&c, &c, &pred, &config, &mut ws).unwrap();
                 let sorted = run

@@ -88,7 +88,6 @@ fn warm_workspace_runs_allocation_free() {
         Algorithm::Basic,
         Algorithm::PrefixFiltered,
         Algorithm::Inline,
-        Algorithm::PositionalInline,
         Algorithm::Auto,
     ] {
         for kernel in [

@@ -32,7 +32,7 @@ pub struct CosineConfig {
     pub threshold: f64,
     /// SSJoin physical algorithm.
     pub algorithm: Algorithm,
-    /// Execution context (threads, shard policy, bitmap filter).
+    /// Execution context (threads, bitmap filter).
     pub exec: ExecContext,
 }
 
@@ -232,11 +232,7 @@ mod tests {
     fn matches_brute_force() {
         let data = sample();
         for alpha in [0.3, 0.5, 0.7, 0.9] {
-            for alg in [
-                Algorithm::Basic,
-                Algorithm::Inline,
-                Algorithm::PositionalInline,
-            ] {
+            for alg in [Algorithm::Basic, Algorithm::Inline, Algorithm::Partition] {
                 let out = cosine_join(&data, &data, &CosineConfig::new(alpha).with_algorithm(alg))
                     .unwrap();
                 assert_eq!(

@@ -35,8 +35,8 @@ fn main() {
 
     // "At least 60% of the R group's cities must co-occur" — the 1-sided
     // normalized predicate of Example 2. `SsJoin` is the unified entry
-    // point: algorithm, threads, shard policy, and candidate filters hang
-    // off one builder.
+    // point: algorithm, threads, and candidate filters hang off one
+    // builder.
     let out = SsJoin::between(built.collection(rh), built.collection(sh))
         .predicate(OverlapPredicate::r_normalized(0.6))
         .algorithm(Algorithm::Inline)

@@ -106,7 +106,7 @@ enum Command {
 
 const USAGE: &str = "usage:
   ssjoin join  --kind <edit|jaccard|cosine|ges> --threshold F \\
-               [--algorithm <basic|prefix|inline|positional|partition|auto>] \\
+               [--algorithm <basic|prefix|inline|partition|auto>] \\
                [--signature-width <1|2|4|8>] [--memory-budget BYTES[k|m|g]] \\
                [--approx RECALL] [--self-dedupe] [--out OUT.tsv] R.tsv [S.tsv]
   ssjoin match --reference R.tsv --query STRING [--k N] [--min-sim F]
@@ -152,7 +152,6 @@ fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
         "basic" => Ok(Algorithm::Basic),
         "prefix" => Ok(Algorithm::PrefixFiltered),
         "inline" => Ok(Algorithm::Inline),
-        "positional" => Ok(Algorithm::PositionalInline),
         "partition" => Ok(Algorithm::Partition),
         "auto" => Ok(Algorithm::Auto),
         other => Err(format!("unknown algorithm {other:?}")),
@@ -668,7 +667,6 @@ mod tests {
             ("basic", Algorithm::Basic),
             ("prefix", Algorithm::PrefixFiltered),
             ("inline", Algorithm::Inline),
-            ("positional", Algorithm::PositionalInline),
             ("partition", Algorithm::Partition),
             ("auto", Algorithm::Auto),
         ] {
@@ -686,25 +684,22 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        let err = parse_args(&sv(&[
-            "join",
-            "--threshold",
-            "0.8",
-            "--algorithm",
-            "bogus",
-            "r.tsv",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("unknown algorithm"), "got {err}");
+        // `positional` named an executor that was retired; it is rejected
+        // like any other unknown name.
+        for name in ["bogus", "positional"] {
+            let err = parse_args(&sv(&[
+                "join",
+                "--threshold",
+                "0.8",
+                "--algorithm",
+                name,
+                "r.tsv",
+            ]))
+            .unwrap_err();
+            assert!(err.contains("unknown algorithm"), "got {err}");
+        }
         // Every algorithm the parser accepts is advertised in the usage.
-        for name in [
-            "basic",
-            "prefix",
-            "inline",
-            "positional",
-            "partition",
-            "auto",
-        ] {
+        for name in ["basic", "prefix", "inline", "partition", "auto"] {
             assert!(USAGE.contains(name), "usage is missing {name}");
         }
     }

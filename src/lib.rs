@@ -25,7 +25,7 @@
 //!
 //! The [`SsJoin`] builder is the unified entry point — it drives both the
 //! fused fast-path executors and the relational-plan fidelity path, with
-//! threads, shard policy, and the bitmap signature filter as knobs:
+//! the algorithm, threads, and the bitmap signature filter as knobs:
 //!
 //! ```
 //! use ssjoin::{Algorithm, OverlapPredicate, SignatureWidth, SsJoin, SsJoinInputBuilder};
@@ -77,8 +77,8 @@ pub use ssjoin_text as text;
 pub use ssjoin_core::{
     ssjoin, ssjoin_with, Algorithm, ApproxSpec, BudgetCause, CancelToken, CorpusIndex,
     CorpusIndexOptions, ElementOrder, ExecBudget, ExecContext, JoinWorkspace, NormKind,
-    OverlapPredicate, QueryEncoder, ShardPolicy, SignatureWidth, SsJoinConfig, SsJoinInputBuilder,
-    SsJoinRun, StatsLevel, WeightScheme,
+    OverlapPredicate, QueryEncoder, SignatureWidth, SsJoinConfig, SsJoinInputBuilder, SsJoinRun,
+    StatsLevel, WeightScheme,
 };
 pub use ssjoin_joins::{
     cluster_pairs, cooccurrence_join, cosine_join, edit_similarity_join, ges_join, jaccard_join,
@@ -96,13 +96,13 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The fused in-memory executors (`ssjoin_core::exec`) — the fast path.
-    /// Honors every [`ExecContext`] knob: threads, shard policy, bitmap
-    /// filter, instrumentation level.
+    /// Honors every [`ExecContext`] knob: threads, bitmap filter,
+    /// instrumentation level.
     #[default]
     Fast,
     /// The literal relational operator trees of `ssjoin_core::plan`
     /// (Figures 7–9 of the paper) — the fidelity path. Runs sequentially;
-    /// thread, shard, and bitmap settings are ignored.
+    /// thread and bitmap settings are ignored.
     RelationalPlan,
 }
 
@@ -183,12 +183,6 @@ impl<'a> SsJoin<'a> {
     /// Set the worker thread count (fast path only).
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.exec.threads = threads;
-        self
-    }
-
-    /// Set the parallel work-partitioning strategy (fast path only).
-    pub fn shard_policy(mut self, shard: ShardPolicy) -> Self {
-        self.config.exec.shard = shard;
         self
     }
 
@@ -429,7 +423,7 @@ fn run_relational(
             s.norm_range(),
         ),
         Algorithm::Inline => inline_plan(r, s, pred),
-        Algorithm::PositionalInline | Algorithm::Partition => {
+        Algorithm::Partition => {
             return Err(SsJoinError::Config(format!(
                 "{algorithm:?} has no relational-plan formulation; use Engine::Fast"
             )))
@@ -517,17 +511,18 @@ mod tests {
             .algorithm(Algorithm::Inline)
             .run()
             .unwrap();
-        for width in SignatureWidth::ALL {
-            let par = SsJoin::new(&input)
-                .predicate(pred.clone())
-                .algorithm(Algorithm::Inline)
-                .threads(4)
-                .shard_policy(ShardPolicy::token_shards())
-                .bitmap_filter(true)
-                .signature_width(width)
-                .run()
-                .unwrap();
-            assert_eq!(seq.pairs, par.pairs, "width {width}");
+        for alg in [Algorithm::Inline, Algorithm::Partition] {
+            for width in SignatureWidth::ALL {
+                let par = SsJoin::new(&input)
+                    .predicate(pred.clone())
+                    .algorithm(alg)
+                    .threads(4)
+                    .bitmap_filter(true)
+                    .signature_width(width)
+                    .run()
+                    .unwrap();
+                assert_eq!(seq.pairs, par.pairs, "alg {alg:?}, width {width}");
+            }
         }
     }
 
@@ -606,7 +601,6 @@ mod tests {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::PositionalInline,
             Algorithm::Partition,
             Algorithm::Auto,
         ] {
@@ -729,11 +723,11 @@ mod tests {
     }
 
     #[test]
-    fn facade_positional_plan_rejected() {
+    fn facade_partition_plan_rejected() {
         let input = addresses_input();
         let err = SsJoin::new(&input)
             .predicate(OverlapPredicate::absolute(1.0))
-            .algorithm(Algorithm::PositionalInline)
+            .algorithm(Algorithm::Partition)
             .engine(Engine::RelationalPlan)
             .run();
         assert!(matches!(err, Err(SsJoinError::Config(_))));

@@ -38,7 +38,7 @@ fn all_algorithms_identical_on_corpus_edit_join() {
         Algorithm::Basic,
         Algorithm::PrefixFiltered,
         Algorithm::Inline,
-        Algorithm::PositionalInline,
+        Algorithm::Partition,
         Algorithm::Auto,
     ] {
         let out = edit_similarity_join(
