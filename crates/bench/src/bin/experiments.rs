@@ -7,7 +7,7 @@
 //! Experiments: `table1 fig10 fig11 fig12 fig13 table2 naive ablation-order
 //! ablation-cost ablation-auto ablation-shard ablation-workspace
 //! ablation-kernel ablation-bitmap ablation-budget ablation-index
-//! ablation-spill ablation-approx`
+//! ablation-spill ablation-approx ablation-symmetry`
 //! (default: all; `--all` forces the full set even when experiments are also
 //! named; an unknown name prints the usage and exits non-zero).
 //! `--scale 1.0` is the paper's 25,000-row corpus; smaller values shrink
@@ -37,7 +37,7 @@ use ssjoin_sim::edit_similarity;
 use std::time::{Duration, Instant};
 
 /// Every experiment name, in usage order.
-const EXPERIMENTS: [&str; 19] = [
+const EXPERIMENTS: [&str; 20] = [
     "table1",
     "fig10",
     "fig11",
@@ -56,6 +56,7 @@ const EXPERIMENTS: [&str; 19] = [
     "ablation-index",
     "ablation-spill",
     "ablation-approx",
+    "ablation-symmetry",
     "all",
 ];
 
@@ -147,6 +148,7 @@ fn main() {
             "ablation-index" => ablation_index(scale, &mut report),
             "ablation-spill" => ablation_spill(scale, &mut report),
             "ablation-approx" => ablation_approx(scale, &mut report),
+            "ablation-symmetry" => ablation_symmetry(scale, &mut report),
             other => unreachable!("experiment {other:?} was validated above"),
         }
     }
@@ -2036,5 +2038,148 @@ fn ablation_approx(scale: f64, report: &mut Report) {
     report.metric_str(
         "ablation_approx.dirty.subset_sound",
         if d_sound { "true" } else { "false" },
+    );
+}
+
+/// Ablation: the symmetric self-join half path, at its own layer. The
+/// collection is built once, outside the clock; each rep times one
+/// `ssjoin()` handed the one collection twice (`&c, &c`: the half path,
+/// which verifies each unordered pair once and mirrors it) and one handed
+/// an identical copy (`&c, &c.clone()`: two collections, both orientations
+/// verified). Inline, one thread — the library defaults. The two outputs
+/// must be identical pair for pair and overlap for overlap.
+fn ablation_symmetry(scale: f64, report: &mut Report) {
+    use ssjoin_core::{NormExpr, NormKind, OverlapPredicate, SetCollection, SsJoinConfig};
+    use ssjoin_text::{QGramTokenizer, Tokenizer, WordTokenizer};
+
+    let data = evaluation_corpus(scale).records;
+    let theta = 0.85;
+    let reps = 5usize;
+    let build = |tok: &dyn Tokenizer, scheme, norm| -> SetCollection {
+        let mut b = ssjoin_core::SsJoinInputBuilder::new(scheme, ElementOrder::FrequencyAsc);
+        let groups = data.iter().map(|x| tok.tokenize(x)).collect();
+        let h = b.add_relation_with_norm(groups, norm);
+        b.build().expect("build collection").collection(h).clone()
+    };
+    let edit = build(
+        &QGramTokenizer::new(3),
+        ssjoin_core::WeightScheme::Unweighted,
+        NormKind::Custom(data.iter().map(|x| x.chars().count() as f64).collect()),
+    );
+    let jaccard = build(
+        &WordTokenizer::new().lowercased(),
+        ssjoin_core::WeightScheme::Idf,
+        NormKind::TotalWeight,
+    );
+    // Property 4 at q = 3: Overlap ≥ max(R, S)·(1 − (1 − θ)·3) − 2.
+    let edit_pred = OverlapPredicate::new(vec![NormExpr::Sub(
+        Box::new(NormExpr::Mul(
+            Box::new(NormExpr::Max(
+                Box::new(NormExpr::RNorm),
+                Box::new(NormExpr::SNorm),
+            )),
+            Box::new(NormExpr::Const(1.0 - (1.0 - theta) * 3.0)),
+        )),
+        Box::new(NormExpr::Const(2.0)),
+    )]);
+    let cfg = SsJoinConfig::new(Algorithm::Inline);
+
+    let mut t = Table::new(
+        format!(
+            "Ablation — symmetric self-join half path (join only, inline, 1 thread, \
+             {} rows, {reps} reps)",
+            data.len()
+        ),
+        &[
+            "Corpus",
+            "Input",
+            "Min ms",
+            "Median ms",
+            "Spread ms",
+            "Candidates",
+            "Mirrored",
+            "Pairs",
+            "Output equal",
+        ],
+    );
+    let mut all_equal = true;
+    for (name, label, c, pred) in [
+        ("edit", "edit q=3", &edit, &edit_pred),
+        (
+            "jaccard",
+            "Jaccard",
+            &jaccard,
+            &OverlapPredicate::two_sided(theta),
+        ),
+    ] {
+        let copy = c.clone();
+        let (mut once_t, mut twice_t) = (Vec::new(), Vec::new());
+        let (mut once, mut twice) = (None, None);
+        // Alternate the two inputs so host drift hits both equally.
+        for _ in 0..reps {
+            let start = Instant::now();
+            once = Some(ssjoin(c, c, pred, &cfg).expect("one-collection join"));
+            once_t.push(start.elapsed());
+            let start = Instant::now();
+            twice = Some(ssjoin(c, &copy, pred, &cfg).expect("two-collection join"));
+            twice_t.push(start.elapsed());
+        }
+        let (once, twice) = (once.expect("reps > 0"), twice.expect("reps > 0"));
+        let key = |o: &ssjoin_core::SsJoinOutput| -> Vec<(u32, u32, u64)> {
+            o.pairs
+                .iter()
+                .map(|p| (p.r, p.s, p.overlap.raw()))
+                .collect()
+        };
+        let equal = key(&once) == key(&twice);
+        all_equal &= equal;
+        let verdict = if equal { "yes" } else { "NO" };
+        let prefix = format!("ablation_symmetry.{name}");
+        for (side, input, times, out, verdict) in [
+            (
+                "once",
+                "one collection (half path)",
+                &mut once_t,
+                &once,
+                verdict,
+            ),
+            ("twice", "two collections", &mut twice_t, &twice, "baseline"),
+        ] {
+            times.sort_unstable();
+            let (min, median, max) = (times[0], times[reps / 2], times[reps - 1]);
+            t.row(vec![
+                format!("{label} {theta}"),
+                input.into(),
+                ms(min),
+                ms(median),
+                ms(max - min),
+                count(out.stats.candidate_pairs),
+                count(out.stats.mirrored_pairs),
+                count(out.pairs.len() as u64),
+                verdict.into(),
+            ]);
+            let msf = |d: Duration| d.as_secs_f64() * 1e3;
+            report.metric_f64(format!("{prefix}.{side}_min_ms"), msf(min));
+            report.metric_f64(format!("{prefix}.{side}_median_ms"), msf(median));
+            report.metric_f64(format!("{prefix}.{side}_spread_ms"), msf(max - min));
+            report.metric_u64(
+                format!("{prefix}.{side}_candidates"),
+                out.stats.candidate_pairs,
+            );
+        }
+        report.metric_f64(
+            format!("{prefix}.speedup"),
+            twice_t[reps / 2].as_secs_f64() / once_t[reps / 2].as_secs_f64().max(1e-9),
+        );
+        report.metric_u64(
+            format!("{prefix}.mirrored_pairs"),
+            once.stats.mirrored_pairs,
+        );
+    }
+    report.table(t);
+    assert!(all_equal, "the half path must not change the join output");
+    report.metric_str(
+        "ablation_symmetry.output_equal",
+        if all_equal { "true" } else { "false" },
     );
 }

@@ -537,7 +537,7 @@ fn candidate_phase(
     // probe's leaf by table lookup instead of re-hashing its tokens; the
     // leaves reached are identical, only cheaper to find.
     let same = std::ptr::eq(r, s);
-    run_chunked(r.len(), ctx.threads, workers, out, |range, scratch| {
+    run_chunked(r.len(), ctx.threads, false, workers, out, |ids, scratch| {
         let mut stats = SsJoinStats::default();
         scratch.stamp.clear();
         scratch.stamp.resize(s.len(), u32::MAX);
@@ -545,7 +545,7 @@ fn candidate_phase(
         let stamp = &mut scratch.stamp;
         let candidates = &mut scratch.candidates;
         let pairs = &mut scratch.pairs;
-        for rid in range {
+        for rid in ids {
             debug_assert_ne!(
                 rid as u32,
                 u32::MAX,

@@ -31,7 +31,7 @@
 
 use super::prefix::{prefix_lengths_into, Side};
 use super::workspace::JoinWorkspace;
-use super::{run_algorithm, Algorithm, ExecContext};
+use super::{run_algorithm, symmetric_self_join, Algorithm, ExecContext};
 use crate::budget::BudgetState;
 use crate::kernel::{verify_cost_model, OverlapKernel, GALLOP_CROSSOVER};
 use crate::predicate::{Interval, OverlapPredicate};
@@ -474,6 +474,11 @@ fn finish_estimate(
 /// transient buffers are the workspace's prefix-length and
 /// prefix-frequency pools, so a reused workspace estimates without
 /// allocating.
+///
+/// A symmetric self-join (see `symmetric_self_join`) runs the half path:
+/// probe `rid` walks each posting list only up to itself, so a rank held
+/// by `k` sets costs `k(k+1)/2` tuples instead of `k²` — in the basic and
+/// the prefix join alike.
 pub(crate) fn estimate_costs_into(
     r: &SetCollection,
     s: &SetCollection,
@@ -481,6 +486,7 @@ pub(crate) fn estimate_costs_into(
     ws: &mut JoinWorkspace,
 ) -> CostEstimate {
     let sfreq = s.stats().token_freq();
+    let half = symmetric_self_join(r, s, pred);
     let JoinWorkspace {
         r_lens,
         s_lens,
@@ -518,7 +524,17 @@ pub(crate) fn estimate_costs_into(
         }
     };
 
-    let (basic_join_tuples, r_prefix_tuples, prefix_join_tuples) = if r.len() <= SAMPLED_S_ABOVE {
+    // Tuples one R occurrence of a rank held by `k` S sets contributes: all
+    // `k`, or on the half path `(k + 1) / 2` on average.
+    let per_occurrence = |k: f64| if half { (k + 1.0) / 2.0 } else { k };
+    let (basic_join_tuples, r_prefix_tuples, prefix_join_tuples) = if half && s_exact {
+        // Exact half path: R is S, so both joins are sums of `k(k+1)/2`
+        // over the (prefix) posting-list lengths, and R's prefixes are S's.
+        let triangle = |&k: &u32| u64::from(k) * (u64::from(k) + 1) / 2;
+        let basic = sfreq.iter().map(triangle).fold(0u64, u64::saturating_add);
+        let prefix = pfreq_s.iter().map(triangle).fold(0u64, u64::saturating_add);
+        (basic, s_prefix_tuples, prefix)
+    } else if r.len() <= SAMPLED_S_ABOVE {
         // Exact R passes: `Σ_e freq_R(e) · freq_S(e)` for the basic join
         // and `Σ_e pfreq_R(e) · pfreq_S(e)` for the prefix join, without
         // materializing the R histograms.
@@ -548,7 +564,7 @@ pub(crate) fn estimate_costs_into(
             let set = r.set(id);
             sample_tuples += set.len() as u64;
             for &rank in set.ranks() {
-                sample_basic += f64::from(sfreq[rank as usize]);
+                sample_basic += per_occurrence(f64::from(sfreq[rank as usize]));
             }
             let (Some(range), false) = (range, set.is_empty()) else {
                 continue;
@@ -561,7 +577,7 @@ pub(crate) fn estimate_costs_into(
             let plen = set.prefix_len(total.saturating_sub(lb));
             sample_prefix += plen as u64;
             for &rank in &set.ranks()[..plen] {
-                sample_join += prefix_weight(rank);
+                sample_join += per_occurrence(prefix_weight(rank));
             }
         }
         let scale = if sample_tuples == 0 {
@@ -735,6 +751,56 @@ mod tests {
             )
         });
         assert_eq!(est.prefix_join_tuples, stats.join_tuples);
+    }
+
+    /// Twin of [`basic_join_estimate_is_exact`] over two collections: no
+    /// self-join, so the `k²` model applies and the executor walks every
+    /// posting.
+    #[test]
+    fn basic_join_estimate_is_exact_for_two_collections() {
+        let groups: Vec<Vec<String>> = (0..30)
+            .map(|i| (0..4).map(|j| format!("x{}", (i + j * 3) % 11)).collect())
+            .collect();
+        let c = build(groups, WeightScheme::Unweighted);
+        let other = c.clone();
+        let pred = OverlapPredicate::absolute(2.0);
+        let est = estimate_costs(&c, &other, &pred);
+        let (_, stats) = collect(|ws| {
+            super::super::basic::run(
+                &c,
+                &other,
+                &pred,
+                &ExecContext::new(),
+                &BudgetState::unlimited(),
+                ws,
+            )
+        });
+        assert_eq!(est.basic_join_tuples, stats.join_tuples);
+        assert!(est.basic_join_tuples > estimate_costs(&c, &c, &pred).basic_join_tuples);
+    }
+
+    /// Twin of [`prefix_join_estimate_is_exact`] over two collections.
+    #[test]
+    fn prefix_join_estimate_is_exact_for_two_collections() {
+        let groups: Vec<Vec<String>> = (0..30)
+            .map(|i| (0..5).map(|j| format!("x{}", (i * 7 + j) % 23)).collect())
+            .collect();
+        let c = build(groups, WeightScheme::Idf);
+        let other = c.clone();
+        let pred = OverlapPredicate::two_sided(0.8);
+        let est = estimate_costs(&c, &other, &pred);
+        let (_, stats) = collect(|ws| {
+            super::super::prefix::run(
+                &c,
+                &other,
+                &pred,
+                &ExecContext::new(),
+                &BudgetState::unlimited(),
+                ws,
+            )
+        });
+        assert_eq!(est.prefix_join_tuples, stats.join_tuples);
+        assert!(est.prefix_join_tuples > estimate_costs(&c, &c, &pred).prefix_join_tuples);
     }
 
     #[test]

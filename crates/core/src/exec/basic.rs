@@ -8,7 +8,7 @@
 //! quantity §4.1 identifies as the bottleneck on frequent elements.
 
 use super::workspace::{CsrIndex, JoinWorkspace, WorkerScratch};
-use super::{run_chunked, ExecContext, JoinPair};
+use super::{delivered_pairs, run_chunked, run_exact, ExecContext, JoinPair};
 use crate::budget::BudgetState;
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
@@ -23,34 +23,38 @@ pub(super) fn run(
     budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
-    let mut stats = SsJoinStats::default();
-    if !budget.proceed() {
-        return stats;
-    }
-    let JoinWorkspace {
-        s_index,
-        workers,
-        out,
-        ..
-    } = ws;
-    timed_phase(&mut stats, ctx.stats, Phase::Prep, |_| {
-        s_index.build(s, None);
-    });
-    if !budget.proceed() {
-        return stats;
-    }
-    let index = &*s_index;
+    run_exact(r, s, pred, ctx, budget, ws, |half, ws| {
+        let mut stats = SsJoinStats::default();
+        if !budget.proceed() {
+            return stats;
+        }
+        let JoinWorkspace {
+            s_index,
+            workers,
+            out,
+            ..
+        } = ws;
+        timed_phase(&mut stats, ctx.stats, Phase::Prep, |_| {
+            s_index.build(s, None);
+        });
+        if !budget.proceed() {
+            return stats;
+        }
+        let index = &*s_index;
 
-    let inner = timed_phase(&mut stats, ctx.stats, Phase::SsJoin, |_| {
-        candidate_phase(r, s, index, pred, ctx, budget, workers, out)
-    });
-    stats.merge(&inner);
-    stats
+        let inner = timed_phase(&mut stats, ctx.stats, Phase::SsJoin, |_| {
+            candidate_phase(r, s, index, pred, ctx, half, budget, workers, out)
+        });
+        stats.merge(&inner);
+        stats
+    })
 }
 
 /// Probe + accumulate phase against a prebuilt full-set index. Shared
 /// between [`run`] (fresh per-call build) and [`probe_basic`] (borrowed
-/// persistent index).
+/// persistent index). On the half path (`half`) probe `rid` accumulates
+/// only partners `sid ≤ rid`: posting lists are id-ascending, so each list
+/// walk stops at the first larger id.
 #[allow(clippy::too_many_arguments)]
 fn candidate_phase(
     r: &SetCollection,
@@ -58,12 +62,13 @@ fn candidate_phase(
     index: &CsrIndex,
     pred: &OverlapPredicate,
     ctx: &ExecContext,
+    half: bool,
     budget: &BudgetState,
     workers: &mut Vec<WorkerScratch>,
     out: &mut Vec<JoinPair>,
 ) -> SsJoinStats {
     {
-        run_chunked(r.len(), ctx.threads, workers, out, |range, scratch| {
+        run_chunked(r.len(), ctx.threads, half, workers, out, |rows, scratch| {
             let mut stats = SsJoinStats::default();
             // Dense per-probe accumulator over S ids, reset via touch list.
             // The clear + resize refills every slot with zero, so values a
@@ -74,11 +79,15 @@ fn candidate_phase(
             let acc = &mut scratch.acc;
             let touched = &mut scratch.touched;
             let pairs = &mut scratch.pairs;
-            for rid in range {
+            for rid in rows {
                 let out_before = pairs.len();
                 let rset = r.set(rid as u32);
+                let last = if half { rid as u32 } else { u32::MAX };
                 for (&rank, &w) in rset.ranks().iter().zip(rset.weights()) {
                     for &sid in index.postings(rank) {
+                        if sid > last {
+                            break;
+                        }
                         if acc[sid as usize].is_zero() {
                             touched.push(sid);
                         }
@@ -119,7 +128,7 @@ fn candidate_phase(
                 touched.clear();
                 // Budget checkpoint: one per probe group, charging the
                 // candidates and outputs this group produced.
-                if !budget.checkpoint(cand_delta, (pairs.len() - out_before) as u64) {
+                if !budget.checkpoint(cand_delta, delivered_pairs(&pairs[out_before..], half)) {
                     break;
                 }
             }
@@ -146,7 +155,7 @@ pub(crate) fn probe_basic(
     }
     let JoinWorkspace { workers, out, .. } = ws;
     let inner = timed_phase(&mut stats, ctx.stats, Phase::SsJoin, |_| {
-        candidate_phase(r, s, index, pred, ctx, budget, workers, out)
+        candidate_phase(r, s, index, pred, ctx, false, budget, workers, out)
     });
     stats.merge(&inner);
     stats

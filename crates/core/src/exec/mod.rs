@@ -28,7 +28,7 @@ use crate::error::{SsJoinError, SsJoinResult};
 use crate::kernel::OverlapKernel;
 use crate::predicate::OverlapPredicate;
 use crate::set::{SetCollection, SignatureWidth};
-use crate::stats::SsJoinStats;
+use crate::stats::{timed_phase, Phase, SsJoinStats};
 use crate::weight::Weight;
 
 /// One result pair: group ids on each side plus their weighted overlap.
@@ -481,6 +481,57 @@ pub(crate) fn run_algorithm(
     }
 }
 
+/// Whether an exact run takes the symmetric half path: `R` and `S` are one
+/// collection and the predicate is [symmetric](OverlapPredicate::is_symmetric).
+/// Then `(a, b)` qualifies exactly when `(b, a)` does, with the same overlap
+/// bits — one collection, and a required overlap that is the same maximum
+/// over the same values — so the executors verify only the lower triangle
+/// `s ≤ r` and [`JoinWorkspace::mirror_lower_triangle`] rebuilds the full
+/// output. This is the one place the decision is made; approximate runs and
+/// [`crate::CorpusIndex`] probes are not self-joins and never ask.
+pub(crate) fn symmetric_self_join(
+    r: &SetCollection,
+    s: &SetCollection,
+    pred: &OverlapPredicate,
+) -> bool {
+    std::ptr::eq(r, s) && pred.is_symmetric()
+}
+
+/// Run one exact executor's `body` with the [`symmetric_self_join`]
+/// decision, then, on the half path, mirror its lower-triangle output into
+/// the full `(r, s)`-sorted result (timed under [`Phase::SsJoin`]). A
+/// tripped budget skips the mirror: the caller discards the output anyway.
+pub(crate) fn run_exact(
+    r: &SetCollection,
+    s: &SetCollection,
+    pred: &OverlapPredicate,
+    ctx: &ExecContext,
+    budget: &BudgetState,
+    ws: &mut JoinWorkspace,
+    body: impl FnOnce(bool, &mut JoinWorkspace) -> SsJoinStats,
+) -> SsJoinStats {
+    let half = symmetric_self_join(r, s, pred);
+    let mut stats = body(half, ws);
+    if half && budget.cause().is_none() {
+        stats.mirrored_pairs = timed_phase(&mut stats, ctx.stats, Phase::SsJoin, |_| {
+            ws.mirror_lower_triangle(r.len())
+        });
+    }
+    stats
+}
+
+/// Result pairs the caller receives for `pairs` just emitted — what the
+/// output budget charges. On the half path each off-diagonal pair also
+/// stands for its mirror, so it counts twice; a diagonal pair counts once.
+pub(crate) fn delivered_pairs(pairs: &[JoinPair], half: bool) -> u64 {
+    let n = pairs.len() as u64;
+    if half {
+        2 * n - pairs.iter().filter(|p| p.r == p.s).count() as u64
+    } else {
+        n
+    }
+}
+
 /// Split `0..n` into at most `threads` contiguous chunks.
 pub(crate) fn chunk_ranges(n: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
     let threads = threads.max(1).min(n.max(1));
@@ -496,14 +547,33 @@ pub(crate) fn chunk_ranges(n: usize, threads: usize) -> Vec<std::ops::Range<usiz
     out
 }
 
+/// Split `0..n` into at most `threads` contiguous chunks of near-equal
+/// lower-triangle area: on the half path row `i` probes about `i + 1`
+/// partners, so the work up to row `x` grows as `x²` and boundary `i` sits
+/// at `n·√(i/threads)`. Equal row counts would leave the last chunk most of
+/// the work.
+pub(crate) fn triangle_ranges(n: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
+    let threads = threads.max(1).min(n.max(1));
+    let bound = |i: usize| -> usize {
+        if i == threads {
+            n
+        } else {
+            ((n as f64) * (i as f64 / threads as f64).sqrt()).round() as usize
+        }
+    };
+    (0..threads).map(|i| bound(i)..bound(i + 1)).collect()
+}
+
 /// Run `work` over R-id chunks, possibly in parallel. Each invocation gets a
 /// dedicated [`WorkerScratch`] whose `pairs` buffer it must append output
 /// to; pairs land in `out` in chunk order (so a per-chunk sorted stream
 /// concatenates into a globally `(r, s)`-sorted one), and counter-only stats
-/// are merged. Phase timing is the caller's responsibility.
+/// are merged. Phase timing is the caller's responsibility. `half` selects
+/// [`triangle_ranges`] over [`chunk_ranges`] for the parallel split.
 pub(crate) fn run_chunked<F>(
     n: usize,
     threads: usize,
+    half: bool,
     workers: &mut Vec<WorkerScratch>,
     out: &mut Vec<JoinPair>,
     work: F,
@@ -526,7 +596,11 @@ where
         std::mem::swap(out, &mut scratch.pairs);
         return stats;
     }
-    let ranges = chunk_ranges(n, threads);
+    let ranges = if half {
+        triangle_ranges(n, threads)
+    } else {
+        chunk_ranges(n, threads)
+    };
     let used = ranges.len();
     std::thread::scope(|scope| {
         let work = &work;
@@ -640,21 +714,54 @@ mod tests {
     }
 
     #[test]
+    fn triangle_ranges_balance_the_lower_triangle() {
+        for n in [0usize, 1, 5, 16, 17, 1000] {
+            for t in [1usize, 2, 3, 8] {
+                let ranges = triangle_ranges(n, t);
+                let mut expect = 0;
+                for r in &ranges {
+                    assert_eq!(r.start, expect, "n={n} t={t}");
+                    expect = r.end;
+                }
+                assert_eq!(expect, n, "n={n} t={t}");
+            }
+        }
+        // Row i probes i + 1 partners: every chunk gets a near-equal share
+        // of the triangle, and the row counts shrink toward the end.
+        let (n, t) = (1000usize, 4usize);
+        let ranges = triangle_ranges(n, t);
+        let area = |r: &std::ops::Range<usize>| r.clone().map(|i| i + 1).sum::<usize>();
+        let total = area(&(0..n));
+        for r in &ranges {
+            let share = area(r) as f64 / (total as f64 / t as f64);
+            assert!((0.98..1.02).contains(&share), "{r:?} share {share}");
+        }
+        assert!(ranges[0].len() > 2 * ranges[t - 1].len(), "{ranges:?}");
+    }
+
+    #[test]
     #[allow(clippy::field_reassign_with_default)]
     fn run_chunked_merges() {
         for threads in [1usize, 4] {
             let mut workers = Vec::new();
             let mut pairs = Vec::new();
-            let stats = run_chunked(10, threads, &mut workers, &mut pairs, |range, scratch| {
-                scratch.pairs.extend(range.map(|i| JoinPair {
-                    r: i as u32,
-                    s: 0,
-                    overlap: Weight::ONE,
-                }));
-                let mut st = SsJoinStats::default();
-                st.join_tuples = 1;
-                st
-            });
+            let stats = run_chunked(
+                10,
+                threads,
+                false,
+                &mut workers,
+                &mut pairs,
+                |range, scratch| {
+                    scratch.pairs.extend(range.map(|i| JoinPair {
+                        r: i as u32,
+                        s: 0,
+                        overlap: Weight::ONE,
+                    }));
+                    let mut st = SsJoinStats::default();
+                    st.join_tuples = 1;
+                    st
+                },
+            );
             assert_eq!(pairs.len(), 10, "threads {threads}");
             // Chunk-order concatenation keeps rids ascending.
             assert!(pairs.windows(2).all(|w| w[0].r < w[1].r));

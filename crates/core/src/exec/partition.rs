@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use super::prefix::{prefix_lengths_into, Side};
 use super::workspace::{build_csr_parallel, CsrIndex, JoinWorkspace, WorkerScratch};
-use super::{ExecContext, JoinPair};
+use super::{delivered_pairs, run_exact, ExecContext, JoinPair};
 use crate::budget::BudgetState;
 use crate::kernel::verify_overlap;
 use crate::predicate::OverlapPredicate;
@@ -151,7 +151,9 @@ fn first_shared_rank(a: &[u32], b: &[u32]) -> u32 {
 
 /// Process one shard, appending qualifying pairs and accumulating counters.
 /// Returns `false` when the budget tripped mid-shard and the caller should
-/// stop taking work.
+/// stop taking work. On the half path (`half`) each `rid` pairs only with
+/// `sid ≤ rid`; S posting lists are id-ascending, so the walk stops at the
+/// first larger id.
 #[allow(clippy::too_many_arguments)]
 fn run_shard(
     shard: &Shard,
@@ -159,6 +161,7 @@ fn run_shard(
     s: &SetCollection,
     pred: &OverlapPredicate,
     ctx: &ExecContext,
+    half: bool,
     r_index: &CsrIndex,
     s_index: &CsrIndex,
     r_lens: &[usize],
@@ -183,7 +186,11 @@ fn run_shard(
         for &rid in r_post {
             let rset = r.set(rid);
             let r_prefix = &rset.ranks()[..r_lens[rid as usize]];
+            let last = if half { rid } else { u32::MAX };
             for &sid in s_post {
+                if sid > last {
+                    break;
+                }
                 stats.join_tuples += 1;
                 let sset = s.set(sid);
                 let s_prefix = &sset.ranks()[..s_lens[sid as usize]];
@@ -217,7 +224,7 @@ fn run_shard(
         // outputs this rank produced across its full posting product.
         if !budget.checkpoint(
             stats.candidate_pairs - cand_before,
-            (pairs.len() - out_before) as u64,
+            delivered_pairs(&pairs[out_before..], half),
         ) {
             return false;
         }
@@ -234,60 +241,63 @@ pub(super) fn run(
     budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
-    let threads = ctx.threads.max(1);
-    let mut stats = SsJoinStats::default();
-    if !budget.proceed() {
-        return stats;
-    }
-    ws.ensure_workers(threads);
+    run_exact(r, s, pred, ctx, budget, ws, |half, ws| {
+        let threads = ctx.threads.max(1);
+        let mut stats = SsJoinStats::default();
+        if !budget.proceed() {
+            return stats;
+        }
+        ws.ensure_workers(threads);
 
-    // Phase: prefix-filter — prefix lengths for both sides and *two* prefix
-    // inverted indexes (the R-side one is what makes rank-range shards a
-    // complete description of the candidate space). Both indexes are built
-    // in parallel from per-worker partial indexes.
-    timed_phase(&mut stats, ctx.stats, Phase::PrefixFilter, |stats| {
-        let JoinWorkspace {
-            r_index,
-            s_index,
-            r_lens,
-            s_lens,
-            workers,
-            ..
-        } = &mut *ws;
-        prefix_lengths_into(r, Side::R, pred, s.norm_range(), r_lens);
-        prefix_lengths_into(s, Side::S, pred, r.norm_range(), s_lens);
-        stats.prefix_tuples_r = r_lens.iter().map(|&l| l as u64).sum();
-        stats.prefix_tuples_s = s_lens.iter().map(|&l| l as u64).sum();
-        build_csr_parallel(r_index, r, r_lens, workers, threads);
-        build_csr_parallel(s_index, s, s_lens, workers, threads);
-    });
-    if !budget.proceed() {
-        return stats;
-    }
+        // Phase: prefix-filter — prefix lengths for both sides and *two*
+        // prefix inverted indexes (the R-side one is what makes rank-range
+        // shards a complete description of the candidate space). Both
+        // indexes are built in parallel from per-worker partial indexes.
+        timed_phase(&mut stats, ctx.stats, Phase::PrefixFilter, |stats| {
+            let JoinWorkspace {
+                r_index,
+                s_index,
+                r_lens,
+                s_lens,
+                workers,
+                ..
+            } = &mut *ws;
+            prefix_lengths_into(r, Side::R, pred, s.norm_range(), r_lens);
+            prefix_lengths_into(s, Side::S, pred, r.norm_range(), s_lens);
+            stats.prefix_tuples_r = r_lens.iter().map(|&l| l as u64).sum();
+            stats.prefix_tuples_s = s_lens.iter().map(|&l| l as u64).sum();
+            build_csr_parallel(r_index, r, r_lens, workers, threads);
+            build_csr_parallel(s_index, s, s_lens, workers, threads);
+        });
+        if !budget.proceed() {
+            return stats;
+        }
 
-    let inner = timed_phase(&mut stats, ctx.stats, Phase::SsJoin, |_| {
-        let JoinWorkspace {
-            r_index,
-            s_index,
-            r_lens,
-            s_lens,
-            workers,
-            shards,
-            ..
-        } = &mut *ws;
-        shard_phase(
-            r, s, pred, ctx, budget, r_index, s_index, r_lens, s_lens, workers, shards, threads,
-        )
-    });
-    stats.merge(&inner);
+        let inner = timed_phase(&mut stats, ctx.stats, Phase::SsJoin, |_| {
+            let JoinWorkspace {
+                r_index,
+                s_index,
+                r_lens,
+                s_lens,
+                workers,
+                shards,
+                ..
+            } = &mut *ws;
+            shard_phase(
+                r, s, pred, ctx, half, budget, r_index, s_index, r_lens, s_lens, workers, shards,
+                threads,
+            )
+        });
+        stats.merge(&inner);
 
-    // Merge the disjoint sorted runs into the workspace output buffer. A
-    // tripped budget means the runs are truncated mid-shard; the caller
-    // surfaces the error, so skip the (now meaningless) merge.
-    if budget.cause().is_none() {
-        ws.merge_shard_runs(threads);
-    }
-    stats
+        // Merge the disjoint sorted runs into the workspace output buffer. A
+        // tripped budget means the runs are truncated mid-shard; the caller
+        // surfaces the error, so skip the (now meaningless) merge.
+        if budget.cause().is_none() {
+            ws.merge_shard_runs(threads);
+        }
+        stats
+    })
 }
 
 /// Plan and execute the token shards with work stealing, leaving per-worker
@@ -300,6 +310,7 @@ fn shard_phase(
     s: &SetCollection,
     pred: &OverlapPredicate,
     ctx: &ExecContext,
+    half: bool,
     budget: &BudgetState,
     r_index: &CsrIndex,
     s_index: &CsrIndex,
@@ -344,8 +355,8 @@ fn shard_phase(
                     let mut take = |i: usize, live: &mut bool| {
                         let start = pairs.len();
                         *live = run_shard(
-                            &shards[i], r, s, pred, ctx, r_index, s_index, r_lens, s_lens, pairs,
-                            st, budget,
+                            &shards[i], r, s, pred, ctx, half, r_index, s_index, r_lens, s_lens,
+                            pairs, st, budget,
                         );
                         pairs[start..].sort_unstable_by_key(|p| (p.r, p.s));
                         if pairs.len() > start {
@@ -440,7 +451,8 @@ pub(crate) fn probe_partition(
             ..
         } = &mut *ws;
         shard_phase(
-            r, s, pred, ctx, budget, r_index, s_index, r_lens, s_lens, workers, shards, threads,
+            r, s, pred, ctx, false, budget, r_index, s_index, r_lens, s_lens, workers, shards,
+            threads,
         )
     });
     stats.merge(&inner);

@@ -16,7 +16,7 @@
 //! sets through the filter and merging them directly.
 
 use super::workspace::{CsrIndex, JoinWorkspace, WorkerScratch};
-use super::{run_chunked, ExecContext, JoinPair};
+use super::{delivered_pairs, run_chunked, run_exact, ExecContext, JoinPair};
 use crate::budget::BudgetState;
 use crate::kernel::verify_overlap;
 use crate::predicate::{Interval, OverlapPredicate};
@@ -89,44 +89,46 @@ pub(crate) fn run_prefix_family(
     budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
-    let mut stats = SsJoinStats::default();
-    if !budget.proceed() {
-        return stats;
-    }
-    let JoinWorkspace {
-        s_index,
-        r_lens,
-        s_lens,
-        workers,
-        out,
-        ..
-    } = ws;
+    run_exact(r, s, pred, ctx, budget, ws, |half, ws| {
+        let mut stats = SsJoinStats::default();
+        if !budget.proceed() {
+            return stats;
+        }
+        let JoinWorkspace {
+            s_index,
+            r_lens,
+            s_lens,
+            workers,
+            out,
+            ..
+        } = ws;
 
-    // Phase: prefix-filter (computing prefixes and the prefix index). Only
-    // the R-side lengths and the S-side prefix index escape the phase; the
-    // S-side lengths are consumed by the index build.
-    timed_phase(&mut stats, ctx.stats, Phase::PrefixFilter, |stats| {
-        prefix_lengths_into(r, Side::R, pred, s.norm_range(), r_lens);
-        prefix_lengths_into(s, Side::S, pred, r.norm_range(), s_lens);
-        stats.prefix_tuples_r = r_lens.iter().map(|&l| l as u64).sum();
-        stats.prefix_tuples_s = s_lens.iter().map(|&l| l as u64).sum();
-        s_index.build(s, Some(s_lens));
-    });
-    if !budget.proceed() {
-        return stats;
-    }
-    let s_index = &*s_index;
-    let r_lens = &*r_lens;
+        // Phase: prefix-filter (computing prefixes and the prefix index).
+        // Only the R-side lengths and the S-side prefix index escape the
+        // phase; the S-side lengths are consumed by the index build.
+        timed_phase(&mut stats, ctx.stats, Phase::PrefixFilter, |stats| {
+            prefix_lengths_into(r, Side::R, pred, s.norm_range(), r_lens);
+            prefix_lengths_into(s, Side::S, pred, r.norm_range(), s_lens);
+            stats.prefix_tuples_r = r_lens.iter().map(|&l| l as u64).sum();
+            stats.prefix_tuples_s = s_lens.iter().map(|&l| l as u64).sum();
+            s_index.build(s, Some(s_lens));
+        });
+        if !budget.proceed() {
+            return stats;
+        }
+        let s_index = &*s_index;
+        let r_lens = &*r_lens;
 
-    // Phase: the SSJoin proper — prefix equi-join producing candidates, then
-    // overlap recomputation per candidate.
-    let inner = timed_phase(&mut stats, ctx.stats, Phase::SsJoin, |_| {
-        candidate_phase(
-            r, s, s_index, r_lens, pred, ctx, inline, budget, workers, out,
-        )
-    });
-    stats.merge(&inner);
-    stats
+        // Phase: the SSJoin proper — prefix equi-join producing candidates,
+        // then overlap recomputation per candidate.
+        let inner = timed_phase(&mut stats, ctx.stats, Phase::SsJoin, |_| {
+            candidate_phase(
+                r, s, s_index, r_lens, pred, ctx, inline, half, budget, workers, out,
+            )
+        });
+        stats.merge(&inner);
+        stats
+    })
 }
 
 /// The SSJoin phase of the prefix family — prefix equi-join against an
@@ -134,7 +136,9 @@ pub(crate) fn run_prefix_family(
 /// candidate. Shared by the fresh-build path ([`run_prefix_family`], which
 /// builds `s_index` into the workspace first) and the persistent-index probe
 /// path ([`probe_prefix_family`], which borrows `s_index` from a
-/// [`crate::CorpusIndex`]).
+/// [`crate::CorpusIndex`]). On the half path (`half`) probe `rid` collects
+/// only candidates `sid ≤ rid`: posting lists are id-ascending, so each
+/// list walk stops at the first larger id.
 #[allow(clippy::too_many_arguments)]
 fn candidate_phase(
     r: &SetCollection,
@@ -144,12 +148,13 @@ fn candidate_phase(
     pred: &OverlapPredicate,
     ctx: &ExecContext,
     inline: bool,
+    half: bool,
     budget: &BudgetState,
     workers: &mut Vec<WorkerScratch>,
     out: &mut Vec<JoinPair>,
 ) -> SsJoinStats {
     {
-        run_chunked(r.len(), ctx.threads, workers, out, |range, scratch| {
+        run_chunked(r.len(), ctx.threads, half, workers, out, |rows, scratch| {
             let mut stats = SsJoinStats::default();
             // Candidate dedup via a stamp array (reset-free across probes
             // within one run). The clear + resize refills every slot with the
@@ -165,7 +170,7 @@ fn candidate_phase(
             let r_table = &mut scratch.r_table;
             let pairs = &mut scratch.pairs;
 
-            for rid in range {
+            for rid in rows {
                 // The stamp array uses `u32::MAX` as its "never seen"
                 // sentinel; group ids are capped at `u32::MAX - 1` by the
                 // builder's TooManyGroups check, so a real rid can never
@@ -182,8 +187,12 @@ fn candidate_phase(
                     continue;
                 }
                 candidates.clear();
+                let last = if half { rid as u32 } else { u32::MAX };
                 for &rank in &rset.ranks()[..plen] {
                     for &sid in s_index.postings(rank) {
+                        if sid > last {
+                            break;
+                        }
                         stats.join_tuples += 1;
                         if stamp[sid as usize] != rid as u32 {
                             stamp[sid as usize] = rid as u32;
@@ -265,7 +274,7 @@ fn candidate_phase(
                         }
                     }
                 }
-                if !budget.checkpoint(0, (pairs.len() - out_before) as u64) {
+                if !budget.checkpoint(0, delivered_pairs(&pairs[out_before..], half)) {
                     break;
                 }
             }
@@ -315,7 +324,7 @@ pub(crate) fn probe_prefix_family(
     let r_lens = &*r_lens;
     let inner = timed_phase(&mut stats, ctx.stats, Phase::SsJoin, |_| {
         candidate_phase(
-            r, s, s_index, r_lens, pred, ctx, inline, budget, workers, out,
+            r, s, s_index, r_lens, pred, ctx, inline, false, budget, workers, out,
         )
     });
     stats.merge(&inner);

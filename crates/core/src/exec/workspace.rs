@@ -316,6 +316,10 @@ pub struct JoinWorkspace {
     pub(crate) shards: Vec<Shard>,
     merge_runs: Vec<MergeRun>,
     merge_heap: Vec<u32>,
+    /// Half-path mirror pass: the lower triangle it reads from, and the
+    /// per-row write cursors (`n + 1` slots).
+    mirror_src: Vec<JoinPair>,
+    mirror_cursor: Vec<usize>,
     pub(crate) out: Vec<JoinPair>,
     /// Out-of-core buffers (`crate::spill`): allocated lazily on the first
     /// spilled run, then pooled like everything else. `None` costs resident
@@ -354,6 +358,8 @@ impl JoinWorkspace {
             + vec_bytes(&self.shards)
             + vec_bytes(&self.merge_runs)
             + vec_bytes(&self.merge_heap)
+            + vec_bytes(&self.mirror_src)
+            + vec_bytes(&self.mirror_cursor)
             + vec_bytes(&self.out)
             + vec_bytes(&self.workers)
             + self
@@ -376,6 +382,64 @@ impl JoinWorkspace {
         if self.workers.len() < threads {
             self.workers.resize_with(threads, WorkerScratch::default);
         }
+    }
+
+    /// Rebuild the full `(r, s)`-sorted output of a symmetric self-join over
+    /// `n` groups from its lower triangle — the pairs with `s ≤ r`, sorted —
+    /// sitting in `out`. One `O(pairs + n)` counting pass, no comparison
+    /// sort: row `x` of the result is its lower pairs `(x, s ≤ x)` followed
+    /// by the mirrors `(x, r')` of the pairs `(r', x)` with `r' > x`, which a
+    /// scan in `(r, s)` order visits with `r'` ascending. Returns the number
+    /// of mirrored pairs.
+    pub(crate) fn mirror_lower_triangle(&mut self, n: usize) -> u64 {
+        let JoinWorkspace {
+            out,
+            mirror_src: src,
+            mirror_cursor: cursor,
+            ..
+        } = self;
+        debug_assert!(out.iter().all(|p| p.s <= p.r && (p.r as usize) < n));
+        // Row sizes, shifted by one slot, then prefix sums: cursor[x] is the
+        // first output slot of row x.
+        cursor.clear();
+        cursor.resize(n + 1, 0);
+        let mut mirrored = 0u64;
+        for p in out.iter() {
+            cursor[p.r as usize + 1] += 1;
+            if p.s != p.r {
+                cursor[p.s as usize + 1] += 1;
+                mirrored += 1;
+            }
+        }
+        for x in 1..=n {
+            cursor[x] += cursor[x - 1];
+        }
+        src.clear();
+        src.extend_from_slice(out);
+        out.clear();
+        out.resize(
+            cursor[n],
+            JoinPair {
+                r: 0,
+                s: 0,
+                overlap: Weight::ZERO,
+            },
+        );
+        for p in src.iter() {
+            let at = &mut cursor[p.r as usize];
+            out[*at] = *p;
+            *at += 1;
+            if p.s != p.r {
+                let at = &mut cursor[p.s as usize];
+                out[*at] = JoinPair {
+                    r: p.s,
+                    s: p.r,
+                    overlap: p.overlap,
+                };
+                *at += 1;
+            }
+        }
+        mirrored
     }
 
     /// K-way merge of the sorted, pair-disjoint shard runs sitting in the
@@ -581,6 +645,38 @@ mod tests {
         ws.merge_shard_runs(2);
         let keys: Vec<(u32, u32)> = ws.out.iter().map(|p| (p.r, p.s)).collect();
         assert_eq!(keys, vec![(0, 0), (0, 1), (1, 1), (2, 0), (3, 3), (5, 5)]);
+    }
+
+    #[test]
+    fn mirror_lower_triangle_rebuilds_the_sorted_full_output() {
+        let mk = |r: u32, s: u32| JoinPair {
+            r,
+            s,
+            overlap: Weight::from_f64(f64::from(r * 10 + s)),
+        };
+        // Lower triangle over 5 rows; row 3 has no pairs at all.
+        let lower = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (4, 1), (4, 4)];
+        let mut ws = JoinWorkspace::new();
+        ws.out = lower.iter().map(|&(r, s)| mk(r, s)).collect();
+        assert_eq!(ws.mirror_lower_triangle(5), 4);
+        let mut expect: Vec<JoinPair> = lower
+            .iter()
+            .flat_map(|&(r, s)| {
+                let p = mk(r, s);
+                let m = JoinPair { r: s, s: r, ..p };
+                if r == s {
+                    vec![p]
+                } else {
+                    vec![p, m]
+                }
+            })
+            .collect();
+        expect.sort_unstable_by_key(|p| (p.r, p.s));
+        assert_eq!(ws.out, expect);
+        // An empty triangle stays empty.
+        ws.out.clear();
+        assert_eq!(ws.mirror_lower_triangle(3), 0);
+        assert!(ws.out.is_empty());
     }
 
     #[test]

@@ -147,6 +147,44 @@ impl NormExpr {
         }
     }
 
+    /// The expression with the roles of the two sides swapped: every
+    /// `R.norm` becomes `S.norm` and vice versa.
+    pub fn mirrored(&self) -> Self {
+        use NormExpr::*;
+        let m = |x: &NormExpr| Box::new(x.mirrored());
+        match self {
+            Const(c) => Const(*c),
+            RNorm => SNorm,
+            SNorm => RNorm,
+            Add(a, b) => Add(m(a), m(b)),
+            Sub(a, b) => Sub(m(a), m(b)),
+            Mul(a, b) => Mul(m(a), m(b)),
+            Min(a, b) => Min(m(a), m(b)),
+            Max(a, b) => Max(m(a), m(b)),
+        }
+    }
+
+    /// Structural equality up to the operand order of the commutative
+    /// operators (`+`, `×`, `min`, `max`); constants compare by bit pattern.
+    /// Two equivalent expressions evaluate bit-identically at every pair of
+    /// norms, because IEEE `+`, `×`, `min` and `max` are commutative.
+    pub fn equivalent(&self, other: &NormExpr) -> bool {
+        use NormExpr::*;
+        let either = |a: &NormExpr, b: &NormExpr, c: &NormExpr, d: &NormExpr| {
+            (a.equivalent(c) && b.equivalent(d)) || (a.equivalent(d) && b.equivalent(c))
+        };
+        match (self, other) {
+            (Const(x), Const(y)) => x.to_bits() == y.to_bits(),
+            (RNorm, RNorm) | (SNorm, SNorm) => true,
+            (Sub(a, b), Sub(c, d)) => a.equivalent(c) && b.equivalent(d),
+            (Add(a, b), Add(c, d))
+            | (Mul(a, b), Mul(c, d))
+            | (Min(a, b), Min(c, d))
+            | (Max(a, b), Max(c, d)) => either(a, b, c, d),
+            _ => false,
+        }
+    }
+
     /// True if the expression mentions `S.norm` (used to decide whether a
     /// one-sided prefix optimization applies).
     pub fn uses_s_norm(&self) -> bool {
@@ -181,6 +219,9 @@ impl std::fmt::Display for NormExpr {
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverlapPredicate {
     conjuncts: Vec<NormExpr>,
+    /// Cached [`Self::is_symmetric`], decided once at construction so the
+    /// per-run check allocates nothing.
+    symmetric: bool,
 }
 
 impl std::fmt::Display for OverlapPredicate {
@@ -205,7 +246,14 @@ impl OverlapPredicate {
             !conjuncts.is_empty(),
             "predicate needs at least one conjunct"
         );
-        Self { conjuncts }
+        let symmetric = conjuncts.iter().all(|e| {
+            let m = e.mirrored();
+            conjuncts.iter().any(|c| c.equivalent(&m))
+        });
+        Self {
+            conjuncts,
+            symmetric,
+        }
     }
 
     /// Absolute overlap: `Overlap ≥ alpha` (Example 2, first form).
@@ -281,6 +329,18 @@ impl OverlapPredicate {
     /// True if any conjunct references `S.norm`.
     pub fn uses_s_norm(&self) -> bool {
         self.conjuncts.iter().any(NormExpr::uses_s_norm)
+    }
+
+    /// True if swapping the sides never changes the required overlap:
+    /// every mirrored conjunct is [equivalent](NormExpr::equivalent) to some
+    /// conjunct, so `required_overlap(a, b)` and `required_overlap(b, a)`
+    /// are the same maximum over the same values, bit for bit. Jaccard
+    /// resemblance, absolute overlap, the edit and Hamming bounds
+    /// (`max(R.norm, S.norm)`) and cosine (`R.norm · S.norm`) qualify;
+    /// one-sided normalizations do not. A symmetric self-join verifies each
+    /// unordered pair once and mirrors it.
+    pub fn is_symmetric(&self) -> bool {
+        self.symmetric
     }
 }
 
@@ -392,6 +452,55 @@ mod tests {
         assert!(!OverlapPredicate::r_normalized(0.8).uses_s_norm());
         assert!(OverlapPredicate::two_sided(0.8).uses_s_norm());
         assert!(OverlapPredicate::s_normalized(0.8).uses_s_norm());
+    }
+
+    #[test]
+    fn symmetric_predicates_are_recognized() {
+        let max_expr = |a: NormExpr, b: NormExpr| {
+            NormExpr::Sub(
+                Box::new(NormExpr::Mul(
+                    Box::new(NormExpr::Max(Box::new(a), Box::new(b))),
+                    Box::new(NormExpr::Const(0.7)),
+                )),
+                Box::new(NormExpr::Const(2.0)),
+            )
+        };
+        let cosine = NormExpr::Mul(
+            Box::new(NormExpr::Const(0.8)),
+            Box::new(NormExpr::Mul(
+                Box::new(NormExpr::RNorm),
+                Box::new(NormExpr::SNorm),
+            )),
+        );
+        assert!(OverlapPredicate::two_sided(0.8).is_symmetric());
+        assert!(OverlapPredicate::absolute(3.0).is_symmetric());
+        // Property 4, in either operand order.
+        assert!(
+            OverlapPredicate::new(vec![max_expr(NormExpr::RNorm, NormExpr::SNorm)]).is_symmetric()
+        );
+        assert!(
+            OverlapPredicate::new(vec![max_expr(NormExpr::SNorm, NormExpr::RNorm)]).is_symmetric()
+        );
+        assert!(OverlapPredicate::new(vec![cosine]).is_symmetric());
+
+        assert!(!OverlapPredicate::r_normalized(0.8).is_symmetric());
+        assert!(!OverlapPredicate::s_normalized(0.8).is_symmetric());
+        let sub = NormExpr::Sub(Box::new(NormExpr::RNorm), Box::new(NormExpr::SNorm));
+        assert!(!OverlapPredicate::new(vec![sub]).is_symmetric());
+        let lopsided =
+            OverlapPredicate::new(vec![NormExpr::r_scaled(0.8), NormExpr::s_scaled(0.7)]);
+        assert!(!lopsided.is_symmetric());
+    }
+
+    #[test]
+    fn mirrored_swaps_sides_and_is_an_involution() {
+        let e = NormExpr::Sub(Box::new(NormExpr::RNorm), Box::new(NormExpr::s_scaled(2.0)));
+        let m = e.mirrored();
+        assert_eq!(m.to_string(), "(S.norm - (2 * R.norm))");
+        assert_eq!(m.mirrored(), e);
+        assert_eq!(e.eval(3.0, 5.0), m.eval(5.0, 3.0));
+        // Constants compare by bits: 0.0 and -0.0 are different expressions.
+        assert!(!NormExpr::Const(0.0).equivalent(&NormExpr::Const(-0.0)));
     }
 
     #[test]

@@ -78,6 +78,11 @@ pub struct SsJoinStats {
     pub verified_pairs: u64,
     /// Pairs in the final result.
     pub output_pairs: u64,
+    /// Result pairs emitted by mirroring rather than verification: a
+    /// symmetric self-join verifies each unordered pair once and mirrors
+    /// every off-diagonal pair `(a, b)` into `(b, a)`. Non-zero exactly when
+    /// that half path ran and found an off-diagonal pair.
+    pub mirrored_pairs: u64,
     /// Candidate pairs probed against the bitmap signature filter.
     pub bitmap_probes: u64,
     /// Candidate pairs rejected by the bitmap signature filter (no
@@ -171,6 +176,7 @@ impl SsJoinStats {
         self.candidate_pairs += other.candidate_pairs;
         self.verified_pairs += other.verified_pairs;
         self.output_pairs += other.output_pairs;
+        self.mirrored_pairs += other.mirrored_pairs;
         self.bitmap_probes += other.bitmap_probes;
         self.bitmap_prunes += other.bitmap_prunes;
         self.shards += other.shards;
@@ -194,6 +200,65 @@ impl SsJoinStats {
         self.approx_reps = self.approx_reps.max(other.approx_reps);
         // The plan is chosen once per run, never per worker: keep the first.
         self.plan = self.plan.or(other.plan);
+    }
+
+    /// Every counter by name, in declaration order: what
+    /// [`Self::to_json`] serializes.
+    fn counters(&self) -> [(&'static str, u64); 24] {
+        [
+            ("join_tuples", self.join_tuples),
+            ("prefix_tuples_r", self.prefix_tuples_r),
+            ("prefix_tuples_s", self.prefix_tuples_s),
+            ("candidate_pairs", self.candidate_pairs),
+            ("verified_pairs", self.verified_pairs),
+            ("output_pairs", self.output_pairs),
+            ("mirrored_pairs", self.mirrored_pairs),
+            ("bitmap_probes", self.bitmap_probes),
+            ("bitmap_prunes", self.bitmap_prunes),
+            ("shards", self.shards),
+            ("shard_steals", self.shard_steals),
+            ("shard_cost_max", self.shard_cost_max),
+            ("shard_cost_total", self.shard_cost_total),
+            ("merge_steps", self.merge_steps),
+            ("early_exits", self.early_exits),
+            ("gallop_probes", self.gallop_probes),
+            ("budget_checks", self.budget_checks),
+            ("effective_threads", self.effective_threads),
+            ("bytes_reserved", self.bytes_reserved),
+            ("workspace_reuses", self.workspace_reuses),
+            ("spill_partitions", self.spill_partitions),
+            ("spill_bytes", self.spill_bytes),
+            ("spill_peak_resident_bytes", self.spill_peak_resident_bytes),
+            ("approx_reps", self.approx_reps),
+        ]
+    }
+
+    /// One JSON object: per-phase wall times in milliseconds
+    /// (`"phase_ms"`), every counter by field name, and the auto plan
+    /// (`"plan"`, a string or `null`).
+    pub fn to_json(&self) -> String {
+        use fmt::Write;
+        let mut out = String::from("{\"phase_ms\":{");
+        for (i, p) in Phase::ALL.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(
+                out,
+                "{sep}\"{}\":{:.3}",
+                p.label(),
+                self.time(*p).as_secs_f64() * 1e3
+            );
+        }
+        out.push('}');
+        for (name, value) in self.counters() {
+            let _ = write!(out, ",\"{name}\":{value}");
+        }
+        match &self.plan {
+            Some(plan) => {
+                let _ = write!(out, ",\"plan\":\"{plan}\"}}");
+            }
+            None => out.push_str(",\"plan\":null}"),
+        }
+        out
     }
 
     /// Shard load imbalance: heaviest shard cost over the ideal per-shard
@@ -223,6 +288,9 @@ impl fmt::Display for SsJoinStats {
             self.verified_pairs,
             self.output_pairs
         )?;
+        if self.mirrored_pairs > 0 {
+            write!(f, " mirrored={}", self.mirrored_pairs)?;
+        }
         if self.bitmap_probes > 0 {
             write!(
                 f,
@@ -387,6 +455,25 @@ mod tests {
         assert_eq!(a.shard_cost_total, 160);
         let imb = a.shard_imbalance().unwrap();
         assert!((imb - 70.0 / 40.0).abs() < 1e-9, "{imb}");
+    }
+
+    #[test]
+    #[allow(clippy::field_reassign_with_default)]
+    fn mirrored_pairs_merge_display_and_json() {
+        let mut a = SsJoinStats::default();
+        assert!(!a.to_string().contains("mirrored"));
+        a.mirrored_pairs = 3;
+        let mut b = SsJoinStats::default();
+        b.mirrored_pairs = 4;
+        b.add_time(Phase::SsJoin, Duration::from_micros(1500));
+        a.merge(&b);
+        assert_eq!(a.mirrored_pairs, 7);
+        assert!(a.to_string().contains(" mirrored=7"), "{a}");
+        let json = a.to_json();
+        assert!(json.starts_with("{\"phase_ms\":{\"Prep\":0.000,"), "{json}");
+        assert!(json.contains("\"SSJoin\":1.500"), "{json}");
+        assert!(json.contains(",\"mirrored_pairs\":7,"), "{json}");
+        assert!(json.ends_with(",\"plan\":null}"), "{json}");
     }
 
     #[test]

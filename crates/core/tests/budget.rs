@@ -291,6 +291,45 @@ fn at_limit_runs_complete() {
     }
 }
 
+/// A symmetric self-join verifies each unordered pair once and mirrors it,
+/// but the output budget counts the pairs the caller receives: a limit one
+/// below the full self-join output must trip, and the full output must
+/// pass, on every executor and thread count.
+#[test]
+fn self_join_output_budget_counts_mirrored_pairs() {
+    let groups: Vec<Vec<String>> = (0..24)
+        .map(|i| (0..4).map(|j| format!("e{}", (i + j * 3) % 11)).collect())
+        .collect();
+    let mut b = SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
+    let h = b.add_relation(groups);
+    let c = b.build().unwrap().collection(h).clone();
+    let pred = OverlapPredicate::two_sided(0.5);
+    for alg in ALGORITHMS {
+        for threads in [1usize, 2] {
+            let config = SsJoinConfig::new(alg).with_threads(threads);
+            let full = ssjoin(&c, &c, &pred, &config).unwrap();
+            let total = full.pairs.len() as u64;
+            assert!(full.stats.mirrored_pairs > 0, "alg {alg:?}: no half path");
+            assert!(2 * full.stats.mirrored_pairs < total + c.len() as u64);
+            let under = config
+                .clone()
+                .with_budget(ExecBudget::default().with_max_output_pairs(total - 1));
+            match ssjoin(&c, &c, &pred, &under) {
+                Err(SsJoinError::BudgetExceeded { which, .. }) => {
+                    assert_eq!(which, BudgetCause::OutputPairs, "alg {alg:?} t{threads}")
+                }
+                other => panic!(
+                    "alg {alg:?} t{threads}: limit {} must trip: {other:?}",
+                    total - 1
+                ),
+            }
+            let exact = config.with_budget(ExecBudget::default().with_max_output_pairs(total));
+            let out = ssjoin(&c, &c, &pred, &exact).unwrap();
+            assert_eq!(pairs_to_keys(&out.pairs), pairs_to_keys(&full.pairs));
+        }
+    }
+}
+
 /// Mid-run cancellation from another thread aborts a large parallel join
 /// with the typed error (not a hang, not a panic).
 #[test]

@@ -7,8 +7,8 @@ use ssjoin_core::kernel::{overlap_at_least, overlap_gallop, verify_overlap};
 use ssjoin_core::plan::{basic_plan, collection_to_relation, inline_plan, prefix_plan, run_plan};
 use ssjoin_core::{
     ssjoin, Algorithm, CorpusIndex, CorpusIndexOptions, ElementOrder, ExecContext, JoinPair,
-    JoinWorkspace, OverlapKernel, OverlapPredicate, SetCollection, SignatureWidth, SsJoinConfig,
-    SsJoinInputBuilder, SsJoinStats, Weight, WeightScheme,
+    JoinWorkspace, NormExpr, OverlapKernel, OverlapPredicate, SetCollection, SignatureWidth,
+    SsJoinConfig, SsJoinInputBuilder, SsJoinStats, Weight, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 use std::sync::Arc;
@@ -610,6 +610,85 @@ fn self_join_symmetry() {
                 keys.contains(&(j, i)),
                 "seed {seed}, missing mirror of ({i},{j})"
             );
+        }
+    }
+}
+
+/// The symmetric half path is invisible in the output: a self-join handed
+/// one collection (`&c, &c`) returns exactly the pairs and overlap bits of
+/// the same join over two collections (`&c, &c.clone()`), for every exact
+/// algorithm, kernel, thread count and bitmap setting. Symmetric predicates
+/// mirror; asymmetric ones never do.
+#[test]
+fn one_collection_self_join_equals_two_collection_join() {
+    let key = |pairs: &[JoinPair]| -> Vec<(u32, u32, Weight)> {
+        pairs.iter().map(|p| (p.r, p.s, p.overlap)).collect()
+    };
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(0x5E1F + seed);
+        let scheme = if rng.gen_bool(0.5) {
+            WeightScheme::Idf
+        } else {
+            WeightScheme::Unweighted
+        };
+        let order = random_order(&mut rng);
+        let mut b = SsJoinInputBuilder::new(scheme, order);
+        let h = b.add_relation(random_groups(&mut rng));
+        let c = b.build().unwrap().collection(h).clone();
+        let copy = c.clone();
+        let alpha = 0.1 + 0.9 * rng.gen_f64();
+        for pred in [
+            OverlapPredicate::two_sided(alpha),
+            OverlapPredicate::absolute(0.5 + 3.5 * alpha),
+            // Property 4's shape: max(S.norm, R.norm)·α − 1.
+            OverlapPredicate::new(vec![NormExpr::Sub(
+                Box::new(NormExpr::Mul(
+                    Box::new(NormExpr::Max(
+                        Box::new(NormExpr::SNorm),
+                        Box::new(NormExpr::RNorm),
+                    )),
+                    Box::new(NormExpr::Const(alpha)),
+                )),
+                Box::new(NormExpr::Const(1.0)),
+            )]),
+            OverlapPredicate::r_normalized(alpha),
+            OverlapPredicate::s_normalized(alpha),
+        ] {
+            let symmetric = pred.is_symmetric();
+            for alg in [
+                Algorithm::Basic,
+                Algorithm::PrefixFiltered,
+                Algorithm::Inline,
+                Algorithm::Partition,
+                Algorithm::Auto,
+            ] {
+                for kernel in [
+                    OverlapKernel::Linear,
+                    OverlapKernel::EarlyExit,
+                    OverlapKernel::Adaptive,
+                ] {
+                    for threads in [1usize, 2, 3] {
+                        for bitmap in [false, true] {
+                            let cfg = SsJoinConfig::new(alg)
+                                .with_kernel(kernel)
+                                .with_threads(threads)
+                                .with_bitmap_filter(bitmap);
+                            let once = ssjoin(&c, &c, &pred, &cfg).unwrap();
+                            let twice = ssjoin(&c, &copy, &pred, &cfg).unwrap();
+                            let ctx = format!(
+                                "seed {seed} pred {pred} alg {alg:?} kernel {kernel:?} \
+                                 threads {threads} bitmap {bitmap}"
+                            );
+                            assert_eq!(key(&once.pairs), key(&twice.pairs), "{ctx}");
+                            assert_eq!(twice.stats.mirrored_pairs, 0, "{ctx}");
+                            let off_diagonal =
+                                once.pairs.iter().filter(|p| p.r != p.s).count() as u64;
+                            let expect = if symmetric { off_diagonal / 2 } else { 0 };
+                            assert_eq!(once.stats.mirrored_pairs, expect, "{ctx}");
+                        }
+                    }
+                }
+            }
         }
     }
 }

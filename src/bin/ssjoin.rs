@@ -1,7 +1,7 @@
 //! `ssjoin` — command-line similarity joins for data cleaning.
 //!
 //! ```text
-//! ssjoin join   --kind jaccard --threshold 0.85 [--algorithm inline] [--signature-width 4] [--memory-budget 64m] [--approx 0.9] [--self-dedupe] R.tsv [S.tsv]
+//! ssjoin join   --kind jaccard --threshold 0.85 [--algorithm inline] [--signature-width 4] [--memory-budget 64m] [--approx 0.9] [--self-dedupe] [--stats] R.tsv [S.tsv]
 //! ssjoin match  --reference R.tsv --query "some string" [--k 3] [--min-sim 0.6]
 //! ssjoin serve  --reference R.tsv [--k 3] [--min-sim 0.6] [--q 3] [--memory-budget 64m] [--approx 0.9]
 //! ssjoin dedup  --threshold 0.85 [--kind edit] FILE.tsv
@@ -37,6 +37,12 @@
 //! exactly — only completeness is traded for speed. `1.0` is exact. Joins
 //! print the winning execution plan (and the approx setting) to stderr;
 //! serve mode surfaces it in the `stats` response.
+//!
+//! `join --stats` prints the SSJoin execution statistics to stderr as one
+//! JSON object: per-phase times and every counter. A self-join (no
+//! `S.tsv`) under a symmetric predicate verifies each unordered pair once
+//! and mirrors it; `mirrored_pairs` counts the pairs that came from
+//! mirroring.
 
 use ssjoin::core::{Algorithm, ExecBudget, ExecContext, SignatureWidth};
 use ssjoin::datagen::{read_tsv, write_tsv, AddressCorpus, AddressCorpusConfig};
@@ -71,6 +77,8 @@ enum Command {
         /// `Some(recall)` opts in to approximate candidate generation.
         approx: Option<f64>,
         self_dedupe: bool,
+        /// Print the execution statistics to stderr as JSON.
+        stats: bool,
         r_path: String,
         s_path: Option<String>,
         out: Option<String>,
@@ -108,7 +116,8 @@ const USAGE: &str = "usage:
   ssjoin join  --kind <edit|jaccard|cosine|ges> --threshold F \\
                [--algorithm <basic|prefix|inline|partition|auto>] \\
                [--signature-width <1|2|4|8>] [--memory-budget BYTES[k|m|g]] \\
-               [--approx RECALL] [--self-dedupe] [--out OUT.tsv] R.tsv [S.tsv]
+               [--approx RECALL] [--self-dedupe] [--stats] [--out OUT.tsv] \\
+               R.tsv [S.tsv]
   ssjoin match --reference R.tsv --query STRING [--k N] [--min-sim F]
   ssjoin serve --reference R.tsv [--k N] [--min-sim F] [--q N] \\
                [--memory-budget BYTES[k|m|g]] [--approx RECALL]
@@ -169,7 +178,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut i = 0;
     while i < rest.len() {
         let a = &rest[i];
-        if a == "--self-dedupe" || a == "--help" {
+        if a == "--self-dedupe" || a == "--stats" || a == "--help" {
             flags.push(a.clone());
         } else if let Some(key) = a.strip_prefix("--") {
             i += 1;
@@ -225,6 +234,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 memory_budget,
                 approx: get_f64("approx")?,
                 self_dedupe: flags.iter().any(|f| f == "--self-dedupe"),
+                stats: flags.iter().any(|f| f == "--stats"),
                 r_path,
                 s_path: paths.next(),
                 out: opts.get("out").cloned(),
@@ -446,6 +456,7 @@ fn execute(cmd: Command) -> Result<(), String> {
             memory_budget,
             approx,
             self_dedupe,
+            stats,
             r_path,
             s_path,
             out,
@@ -470,6 +481,9 @@ fn execute(cmd: Command) -> Result<(), String> {
             // to stderr so piped TSV output stays clean.
             if let Some(plan) = &output.stats.plan {
                 eprintln!("plan: {plan}");
+            }
+            if stats {
+                eprintln!("{}", output.stats.to_json());
             }
             let mut pairs = output.pairs;
             if self_dedupe && s_path.is_none() {
@@ -626,11 +640,29 @@ mod tests {
                 memory_budget: None,
                 approx: None,
                 self_dedupe: true,
+                stats: false,
                 r_path: "input.tsv".into(),
                 s_path: None,
                 out: None,
             }
         );
+    }
+
+    #[test]
+    fn parses_stats_flag() {
+        let with = parse_args(&sv(&["join", "--threshold", "0.8", "--stats", "r.tsv"])).unwrap();
+        let without = parse_args(&sv(&["join", "--threshold", "0.8", "r.tsv"])).unwrap();
+        match (with, without) {
+            (
+                Command::Join {
+                    stats: true,
+                    r_path,
+                    ..
+                },
+                Command::Join { stats: false, .. },
+            ) => assert_eq!(r_path, "r.tsv"),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
@@ -981,6 +1013,7 @@ mod tests {
             memory_budget: None,
             approx: None,
             self_dedupe: true,
+            stats: false,
             r_path: data_path.to_string_lossy().into_owned(),
             s_path: None,
             out: Some(out_path.to_string_lossy().into_owned()),
@@ -1003,6 +1036,7 @@ mod tests {
             memory_budget: Some(64 << 10),
             approx: None,
             self_dedupe: true,
+            stats: false,
             r_path: data_path.to_string_lossy().into_owned(),
             s_path: None,
             out: Some(spilled_path.to_string_lossy().into_owned()),
@@ -1025,6 +1059,7 @@ mod tests {
             memory_budget: None,
             approx: Some(0.9),
             self_dedupe: true,
+            stats: false,
             r_path: data_path.to_string_lossy().into_owned(),
             s_path: None,
             out: Some(approx_path.to_string_lossy().into_owned()),

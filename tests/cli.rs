@@ -114,6 +114,47 @@ fn gen_join_match_roundtrip() {
 }
 
 #[test]
+fn join_stats_show_the_mirrored_half_path() {
+    let dir = temp_dir("stats");
+    let data = dir.join("dups.tsv");
+    std::fs::write(
+        &data,
+        "100 Main Street Springfield\n100 Main Stret Springfield\nunrelated record entirely\n",
+    )
+    .unwrap();
+    let join = |extra: &[&str]| {
+        let mut args = vec!["join", "--kind", "edit", "--threshold", "0.8", "--stats"];
+        args.extend_from_slice(extra);
+        let out = bin().args(&args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        let json = stderr
+            .lines()
+            .find(|l| l.starts_with("{\"phase_ms\":"))
+            .unwrap_or_else(|| panic!("no stats JSON in {stderr:?}"))
+            .to_string();
+        (String::from_utf8_lossy(&out.stdout).into_owned(), json)
+    };
+    let path = data.to_str().unwrap();
+    // Self-join: (0, 1) is verified once and mirrored into (1, 0).
+    let (pairs, json) = join(&[path]);
+    assert!(json.contains("\"mirrored_pairs\":1,"), "{json}");
+    assert!(
+        pairs.contains("0\t1\t") && pairs.contains("1\t0\t"),
+        "{pairs}"
+    );
+    // Two inputs are never a self-join, even with the same contents.
+    let (two, json) = join(&[path, path]);
+    assert!(json.contains("\"mirrored_pairs\":0,"), "{json}");
+    assert_eq!(two, pairs);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn dedup_prints_groups() {
     let dir = temp_dir("dedup");
     let data = dir.join("dups.tsv");
