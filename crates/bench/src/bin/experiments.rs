@@ -7,7 +7,7 @@
 //! Experiments: `table1 fig10 fig11 fig12 fig13 table2 naive ablation-order
 //! ablation-cost ablation-auto ablation-shard ablation-workspace
 //! ablation-kernel ablation-bitmap ablation-budget ablation-index
-//! ablation-spill ablation-approx ablation-symmetry`
+//! ablation-spill ablation-approx ablation-symmetry ablation-ges-verify`
 //! (default: all; `--all` forces the full set even when experiments are also
 //! named; an unknown name prints the usage and exits non-zero).
 //! `--scale 1.0` is the paper's 25,000-row corpus; smaller values shrink
@@ -30,14 +30,14 @@ use ssjoin_core::{
     ElementOrder, ExecBudget, ExecContext, OverlapKernel, Phase, SignatureWidth, SsJoinError,
 };
 use ssjoin_joins::{
-    dedupe_self_pairs, edit_similarity_join, ges_join, jaccard_join, EditJoinConfig, GesJoinConfig,
-    JaccardConfig,
+    dedupe_self_pairs, edit_similarity_join, ges_join, jaccard_join, EditJoinConfig, GesInput,
+    GesJoinConfig, JaccardConfig,
 };
 use ssjoin_sim::edit_similarity;
 use std::time::{Duration, Instant};
 
 /// Every experiment name, in usage order.
-const EXPERIMENTS: [&str; 20] = [
+const EXPERIMENTS: [&str; 21] = [
     "table1",
     "fig10",
     "fig11",
@@ -57,6 +57,7 @@ const EXPERIMENTS: [&str; 20] = [
     "ablation-spill",
     "ablation-approx",
     "ablation-symmetry",
+    "ablation-ges-verify",
     "all",
 ];
 
@@ -149,6 +150,7 @@ fn main() {
             "ablation-spill" => ablation_spill(scale, &mut report),
             "ablation-approx" => ablation_approx(scale, &mut report),
             "ablation-symmetry" => ablation_symmetry(scale, &mut report),
+            "ablation-ges-verify" => ablation_ges_verify(scale, &mut report),
             other => unreachable!("experiment {other:?} was validated above"),
         }
     }
@@ -2181,5 +2183,163 @@ fn ablation_symmetry(scale: f64, report: &mut Report) {
     report.metric_str(
         "ablation_symmetry.output_equal",
         if all_equal { "true" } else { "false" },
+    );
+}
+
+/// Ablation: the GES verify layer alone. `ges_join`'s SSJoin produces one
+/// candidate list on the Figure 13 corpus (θ = 0.85, β = 0.85, inline),
+/// once; two verifiers then check that list, reps alternated: per-pair
+/// `ges()` over token strings with a weight closure over a string-keyed map
+/// (the UDF call as a caller without the prepared input makes it), and the
+/// prepared `ges_at_least` over interned token ids with its exact prunings.
+/// Both must keep the same pairs with the same similarity bits. The corpus
+/// is capped at 20% scale (5,000 rows): at full scale the list holds 21M
+/// candidates and the per-pair side alone takes about 14 minutes.
+fn ablation_ges_verify(scale: f64, report: &mut Report) {
+    use ssjoin_sim::{ges, ges_at_least, GesConfig, GesScratch};
+    use std::collections::HashMap;
+
+    let data = evaluation_corpus(scale.min(0.2)).records;
+    let theta = 0.85;
+    let reps = 5usize;
+    let cfg = GesJoinConfig::new(theta);
+    let input = GesInput::new(&data, &data).expect("ges input");
+    let candidates: Vec<(u32, u32)> = input
+        .candidates(&cfg)
+        .expect("ges candidates")
+        .pairs
+        .iter()
+        .map(|p| (p.r, p.s))
+        .collect();
+    let rows: Vec<Vec<String>> = (0..data.len() as u32)
+        .map(|i| {
+            let ids = input.r_tokens(i);
+            ids.iter().map(|&t| input.token(t).to_owned()).collect()
+        })
+        .collect();
+    let table = input.table();
+    let weights: HashMap<String, f64> = (0..table.len() as u32)
+        .map(|t| (input.token(t).to_owned(), table.weight(t)))
+        .collect();
+    let weight = |t: &str| weights.get(t).copied().unwrap_or(1.0);
+    let floor = theta - 1e-9;
+
+    let (mut per_pair_t, mut prepared_t) = (Vec::new(), Vec::new());
+    let (mut per_pair, mut prepared) = (Vec::new(), Vec::new());
+    let mut scratch = GesScratch::default();
+    // Alternate the two verifiers so host drift hits both equally.
+    for _ in 0..reps {
+        let start = Instant::now();
+        per_pair = candidates
+            .iter()
+            .filter_map(|&(r, s)| {
+                let (a, b) = (&rows[r as usize], &rows[s as usize]);
+                let g = ges(a, b, &weight, GesConfig::default());
+                (g >= floor).then_some((r, s, g.to_bits()))
+            })
+            .collect::<Vec<_>>();
+        per_pair_t.push(start.elapsed());
+        scratch = GesScratch::default();
+        let start = Instant::now();
+        prepared = candidates
+            .iter()
+            .filter_map(|&(r, s)| {
+                let (a, b) = (input.r_tokens(r), input.s_tokens(s));
+                let g = ges_at_least(a, b, table, floor, &mut scratch)?;
+                Some((r, s, g.to_bits()))
+            })
+            .collect::<Vec<_>>();
+        prepared_t.push(start.elapsed());
+    }
+    let equal = per_pair == prepared;
+    let c = scratch.counters;
+
+    let mut t = Table::new(
+        format!(
+            "Ablation — GES verify layer (one candidate list, θ = {theta}, {} rows, {reps} reps)",
+            data.len()
+        ),
+        &[
+            "Verifier",
+            "Min ms",
+            "Median ms",
+            "Spread ms",
+            "Calls",
+            "Token EDs",
+            "Length skips",
+            "Row exits",
+            "Pairs",
+            "Output equal",
+        ],
+    );
+    let msf = |d: Duration| d.as_secs_f64() * 1e3;
+    for (name, label, times, pairs, verdict) in [
+        (
+            "per_pair",
+            "per-pair ges()",
+            &mut per_pair_t,
+            &per_pair,
+            "baseline",
+        ),
+        (
+            "prepared",
+            "prepared ges_at_least",
+            &mut prepared_t,
+            &prepared,
+            if equal { "yes" } else { "NO" },
+        ),
+    ] {
+        times.sort_unstable();
+        let (min, median, max) = (times[0], times[reps / 2], times[reps - 1]);
+        let counted = name == "prepared";
+        let cell = |v: u64| if counted { count(v) } else { "-".into() };
+        t.row(vec![
+            label.into(),
+            ms(min),
+            ms(median),
+            ms(max - min),
+            count(candidates.len() as u64),
+            cell(c.token_eds),
+            cell(c.length_skips),
+            cell(c.row_exits),
+            count(pairs.len() as u64),
+            verdict.into(),
+        ]);
+        let prefix = format!("ablation_ges_verify.{name}");
+        report.metric_f64(format!("{prefix}_min_ms"), msf(min));
+        report.metric_f64(format!("{prefix}_median_ms"), msf(median));
+        report.metric_f64(format!("{prefix}_spread_ms"), msf(max - min));
+    }
+    report.table(t);
+    report.metric_u64("ablation_ges_verify.calls", candidates.len() as u64);
+    report.metric_u64("ablation_ges_verify.token_eds", c.token_eds);
+    report.metric_u64("ablation_ges_verify.length_skips", c.length_skips);
+    report.metric_u64("ablation_ges_verify.row_exits", c.row_exits);
+    report.metric_f64(
+        "ablation_ges_verify.speedup",
+        msf(per_pair_t[reps / 2]) / msf(prepared_t[reps / 2]).max(1e-9),
+    );
+
+    // Where the verify layer sits in the whole join (Figure 13's bars).
+    let out = ges_join(&data, &data, &cfg).expect("ges join");
+    let total = out.stats.total_time().as_secs_f64().max(1e-9);
+    let share = out.stats.time(Phase::Filter).as_secs_f64() / total;
+    println!(
+        "ges_join at θ = {theta}: Prep {} ms, SSJoin {} ms, Filter {} ms ({:.0}% of {} ms)",
+        ms(out.stats.time(Phase::Prep)),
+        ms(out.stats.time(Phase::SsJoin)),
+        ms(out.stats.time(Phase::Filter)),
+        share * 100.0,
+        ms(out.stats.total_time()),
+    );
+    report.metric_f64("ablation_ges_verify.join_filter_share", share);
+
+    assert!(
+        equal,
+        "the prepared verifier must not change the GES output"
+    );
+    report.metric_str(
+        "ablation_ges_verify.output_equal",
+        if equal { "true" } else { "false" },
     );
 }

@@ -22,12 +22,12 @@
 use crate::common::{MatchPair, SimilarityJoinOutput};
 use crate::edit::{edit_similarity_join, EditJoinConfig};
 use ssjoin_core::{
-    ssjoin, Algorithm, ElementOrder, ExecContext, NormKind, OverlapPredicate, Phase,
-    RelationHandle, SsJoinConfig, SsJoinInputBuilder, SsJoinResult, SsJoinStats, WeightScheme,
+    ssjoin, Algorithm, ElementOrder, ExecContext, FxHashMap, NormKind, OverlapPredicate, Phase,
+    RelationHandle, SsJoinConfig, SsJoinError, SsJoinInputBuilder, SsJoinOutput, SsJoinResult,
+    SsJoinStats, WeightScheme,
 };
-use ssjoin_sim::{ges, GesConfig};
+use ssjoin_sim::{ges_at_least, GesConfig, GesScratch, GesTable};
 use ssjoin_text::{Tokenizer, WordTokenizer};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Configuration for [`ges_join`].
@@ -94,133 +94,39 @@ impl GesJoinConfig {
 /// asymmetric normalization by the R side, per Definition 6). Pass the same
 /// slice twice for a self-join: it is tokenized and built once, and so is
 /// the token dictionary's own edit-similarity self-join.
+///
+/// `Phase::Prep` covers tokenization, interning and weighting
+/// ([`GesInput::new`]) and the expansion and build
+/// ([`GesInput::candidates`]); `Phase::Filter` covers the GES verification
+/// of the candidates alone.
+///
+/// # Errors
+///
+/// [`SsJoinError::TooManyGroups`] if a side has more rows than `u32` ids
+/// address, and any error of the candidate SSJoin.
 pub fn ges_join(
     r: &[String],
     s: &[String],
     config: &GesJoinConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
-    // Prep — tokenization, IDF weights, dictionary expansion and the set
-    // build — is timed as one phase. A self-join tokenizes and builds once.
     let prep_start = Instant::now();
-    let same = std::ptr::eq(r, s);
-    let tok = WordTokenizer::new().lowercased();
-    let tokenize =
-        |xs: &[String]| -> Vec<Vec<String>> { xs.iter().map(|x| tok.tokenize(x)).collect() };
-    let r_tokens = tokenize(r);
-    let s_tokens_owned;
-    let s_tokens: &[Vec<String>] = if same {
-        &r_tokens
-    } else {
-        s_tokens_owned = tokenize(s);
-        &s_tokens_owned
-    };
-
-    // IDF token weights over the joint corpus (the GES weight model). A
-    // self-join's one copy of the data counts for both sides.
-    let total = (r_tokens.len() + s_tokens.len()) as f64;
-    let mut freq: HashMap<&str, usize> = HashMap::new();
-    let sides: &[(&[Vec<String>], usize)] = if same {
-        &[(&r_tokens, 2)]
-    } else {
-        &[(&r_tokens, 1), (s_tokens, 1)]
-    };
-    for &(groups, copies) in sides {
-        for group in groups {
-            let mut seen: Vec<&str> = Vec::new();
-            for t in group {
-                if !seen.contains(&t.as_str()) {
-                    seen.push(t);
-                    *freq.entry(t.as_str()).or_insert(0) += copies;
-                }
-            }
-        }
-    }
-    let weights: HashMap<String, f64> = freq
-        .iter()
-        .map(|(&t, &f)| (t.to_string(), (1.0 + total / f as f64).ln()))
-        .collect();
-    let weight_fn = |t: &str| -> f64 { weights.get(t).copied().unwrap_or(1.0) };
-
+    let input = GesInput::new(r, s)?;
     let mut stats = SsJoinStats::default();
-    let ges_cfg = GesConfig::default();
+    stats.add_time(Phase::Prep, prep_start.elapsed());
 
-    let candidate_keys: Vec<(u32, u32)> = if config.exhaustive {
-        stats.add_time(Phase::Prep, prep_start.elapsed());
-        (0..r.len() as u32)
-            .flat_map(|i| (0..s.len() as u32).map(move |j| (i, j)))
-            .collect()
+    let filter_start;
+    let (pairs, udf_verifications) = if config.exhaustive {
+        let (nr, ns) = (input.r.rows(), input.s().rows());
+        filter_start = Instant::now();
+        let every_pair = (0..nr).flat_map(|i| (0..ns).map(move |j| (i, j)));
+        input.verify(every_pair, config.threshold)
     } else {
-        // Prefix-expansion: token dictionary self-join at threshold β.
-        //
-        // Only tokens containing an alphabetic character are expanded:
-        // numeric tokens (street numbers, zip codes) are matched exactly.
-        // §1 of the paper motivates exactly this — "even small differences
-        // in the street numbers such as '148th Ave' and '147th Ave' are
-        // crucial" — and it keeps the dictionary join from degenerating on
-        // dense numeric vocabularies.
-        let mut dict: Vec<String> = weights
-            .keys()
-            .filter(|t| t.chars().any(char::is_alphabetic))
-            .cloned()
-            .collect();
-        dict.sort_unstable();
-        let token_join =
-            edit_similarity_join(&dict, &dict, &EditJoinConfig::new(config.beta).with_q(2))?;
-        let mut similar: HashMap<&str, Vec<&str>> = HashMap::new();
-        for p in &token_join.pairs {
-            similar
-                .entry(dict[p.r as usize].as_str())
-                .or_default()
-                .push(dict[p.s as usize].as_str());
-        }
-        let mut builder = SsJoinInputBuilder::new(WeightScheme::Idf, ElementOrder::FrequencyAsc);
-        let rh = add_expanded(&mut builder, &r_tokens, &similar);
-        let sh = if same {
-            rh
-        } else {
-            add_expanded(&mut builder, s_tokens, &similar)
-        };
-        let built = builder.build()?;
-        stats.add_time(Phase::Prep, prep_start.elapsed());
-
-        let margin = (config.threshold - (1.0 - config.beta)).max(0.05);
-        let pred = OverlapPredicate::r_normalized(margin);
-        let ss_config = SsJoinConfig {
-            algorithm: config.algorithm,
-            exec: config.exec.clone(),
-        };
-        let out = ssjoin(
-            built.collection(rh),
-            built.collection(sh),
-            &pred,
-            &ss_config,
-        )?;
+        let out = input.candidates(config)?;
         stats.merge(&out.stats);
-        out.pairs.iter().map(|p| (p.r, p.s)).collect()
+        filter_start = Instant::now();
+        input.verify(out.pairs.iter().map(|p| (p.r, p.s)), config.threshold)
     };
-
-    // Verification with the exact GES UDF.
-    let filter_start = Instant::now();
-    let mut pairs = Vec::new();
-    let mut udf_verifications = 0u64;
-    for (i, j) in candidate_keys {
-        udf_verifications += 1;
-        let g = ges(
-            &r_tokens[i as usize],
-            &s_tokens[j as usize],
-            &weight_fn,
-            ges_cfg,
-        );
-        if g >= config.threshold - 1e-9 {
-            pairs.push(MatchPair {
-                r: i,
-                s: j,
-                similarity: g,
-            });
-        }
-    }
     stats.add_time(Phase::Filter, filter_start.elapsed());
-    pairs.sort_unstable_by_key(|p| (p.r, p.s));
     stats.output_pairs = pairs.len() as u64;
     Ok(SimilarityJoinOutput {
         pairs,
@@ -234,27 +140,289 @@ pub fn ges_join(
     })
 }
 
-/// Add one relation of token groups, each token replaced by its dictionary
-/// neighbours (`similar`; tokens without any stay as they are), sorted and
-/// deduplicated.
-fn add_expanded(
-    builder: &mut SsJoinInputBuilder,
-    groups: &[Vec<String>],
-    similar: &HashMap<&str, Vec<&str>>,
-) -> RelationHandle {
-    let mut expanded: Vec<&str> = Vec::new();
-    builder.add_relation_by(groups.len(), NormKind::TotalWeight, |i, emit| {
-        expanded.clear();
-        for t in &groups[i] {
-            match similar.get(t.as_str()) {
-                Some(close) => expanded.extend_from_slice(close),
-                None => expanded.push(t),
+/// A GES join's prepared input: both sides' rows as token-id lists over one
+/// [`GesTable`] of IDF-weighted tokens.
+///
+/// One interning pass over the lowercased word tokens assigns the ids; they
+/// are then renumbered in the tokens' string order, so sorting ids sorts the
+/// tokens.
+#[derive(Debug)]
+pub struct GesInput {
+    table: GesTable,
+    /// Token text by id.
+    tokens: Vec<String>,
+    r: TokenLists,
+    /// `None` for a self-join: S is R.
+    s: Option<TokenLists>,
+}
+
+/// Rows as token-id lists, flattened: row `i` is
+/// `ids[starts[i]..starts[i + 1]]`. [`GesInput::new`] checks that the row
+/// count fits `u32`.
+#[derive(Debug)]
+struct TokenLists {
+    starts: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl TokenLists {
+    fn rows(&self) -> u32 {
+        (self.starts.len() - 1) as u32
+    }
+
+    fn row(&self, i: u32) -> &[u32] {
+        let i = i as usize;
+        &self.ids[self.starts[i]..self.starts[i + 1]]
+    }
+}
+
+/// `len` rows of relation `relation` as a `u32` count, or the typed error.
+fn check_rows(len: usize, relation: usize) -> SsJoinResult<u32> {
+    u32::try_from(len).map_err(|_| SsJoinError::TooManyGroups {
+        relation,
+        groups: len,
+    })
+}
+
+impl GesInput {
+    /// Tokenize `r` and `s` into lowercased words, intern every distinct
+    /// token once, and weight it by IDF over both sides together:
+    /// `ln(1 + N / f_t)`, where `N` counts the rows of R and S and `f_t` those
+    /// holding `t`. Pass the same slice twice for a self-join: its one copy
+    /// counts for both sides.
+    ///
+    /// # Errors
+    ///
+    /// [`SsJoinError::TooManyGroups`] if a side has more rows than `u32` ids
+    /// address; [`SsJoinError::TooManyElements`] if the vocabulary does.
+    pub fn new(r: &[String], s: &[String]) -> SsJoinResult<Self> {
+        let same = std::ptr::eq(r, s);
+        check_rows(r.len(), 0)?;
+        check_rows(s.len(), 1)?;
+        let tok = WordTokenizer::new().lowercased();
+        let mut interned: FxHashMap<String, u32> = FxHashMap::default();
+        let mut scratch = String::new();
+        let mut overflow = false;
+        let mut tokenize = |rows: &[String]| -> TokenLists {
+            let mut lists = TokenLists {
+                starts: Vec::with_capacity(rows.len() + 1),
+                ids: Vec::new(),
+            };
+            lists.starts.push(0);
+            for row in rows {
+                tok.for_each_token(row, &mut scratch, &mut |t| {
+                    let id = match interned.get(t) {
+                        Some(&id) => id,
+                        None => {
+                            let id = u32::try_from(interned.len()).unwrap_or_else(|_| {
+                                overflow = true;
+                                u32::MAX
+                            });
+                            interned.insert(t.to_owned(), id);
+                            id
+                        }
+                    };
+                    lists.ids.push(id);
+                });
+                lists.starts.push(lists.ids.len());
+            }
+            lists
+        };
+        let mut r = tokenize(r);
+        let mut s = (!same).then(|| tokenize(s));
+        if overflow {
+            return Err(SsJoinError::TooManyElements {
+                elements: interned.len(),
+            });
+        }
+
+        // Renumber the ids in string order.
+        let mut by_text: Vec<(String, u32)> = interned.into_iter().collect();
+        by_text.sort_unstable();
+        let mut renumber = vec![0u32; by_text.len()];
+        for (new, (_, old)) in by_text.iter().enumerate() {
+            renumber[*old as usize] = new as u32;
+        }
+        let tokens: Vec<String> = by_text.into_iter().map(|(t, _)| t).collect();
+        for lists in std::iter::once(&mut r).chain(s.as_mut()) {
+            lists
+                .ids
+                .iter_mut()
+                .for_each(|id| *id = renumber[*id as usize]);
+        }
+
+        // Document frequencies: a per-row stamp counts each token once per
+        // row; a self-join's one copy of the data counts for both sides.
+        let copies = if same { 2 } else { 1 };
+        let mut freq = vec![0usize; tokens.len()];
+        let mut stamp = vec![usize::MAX; tokens.len()];
+        let mut row_no = 0;
+        for lists in std::iter::once(&r).chain(s.as_ref()) {
+            for i in 0..lists.rows() {
+                for &id in lists.row(i) {
+                    if stamp[id as usize] != row_no {
+                        stamp[id as usize] = row_no;
+                        freq[id as usize] += copies;
+                    }
+                }
+                row_no += 1;
             }
         }
-        expanded.sort_unstable();
-        expanded.dedup();
-        expanded.iter().for_each(|t| emit(t));
-    })
+        let total = f64::from(r.rows()) + f64::from(s.as_ref().unwrap_or(&r).rows());
+        let mut table = GesTable::new(GesConfig::default());
+        for (t, &f) in tokens.iter().zip(&freq) {
+            table.push(t, (1.0 + total / f as f64).ln());
+        }
+        Ok(Self {
+            table,
+            tokens,
+            r,
+            s,
+        })
+    }
+
+    fn s(&self) -> &TokenLists {
+        self.s.as_ref().unwrap_or(&self.r)
+    }
+
+    /// The token ids of R's row `i`, in token order.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is not a row of R.
+    pub fn r_tokens(&self, i: u32) -> &[u32] {
+        self.r.row(i)
+    }
+
+    /// The token ids of S's row `j`, in token order.
+    ///
+    /// # Panics
+    ///
+    /// If `j` is not a row of S.
+    pub fn s_tokens(&self, j: u32) -> &[u32] {
+        self.s().row(j)
+    }
+
+    /// The text of token `id`.
+    ///
+    /// # Panics
+    ///
+    /// If `id` is not a token id.
+    pub fn token(&self, id: u32) -> &str {
+        &self.tokens[id as usize]
+    }
+
+    /// The weights and characters of every token, by id.
+    pub fn table(&self) -> &GesTable {
+        &self.table
+    }
+
+    /// The filtered join's candidate pairs: each side's token sets expanded
+    /// with their dictionary neighbours at edit similarity β, joined by
+    /// SSJoin under `Overlap ≥ (α − (1 − β)) · wt(expanded R-set)` with
+    /// `config`'s algorithm and execution context. `Phase::Prep` of the
+    /// returned statistics covers the dictionary join and the build.
+    ///
+    /// # Errors
+    ///
+    /// Any error of the dictionary join, the build or the SSJoin.
+    pub fn candidates(&self, config: &GesJoinConfig) -> SsJoinResult<SsJoinOutput> {
+        let prep_start = Instant::now();
+        // Prefix-expansion: token dictionary self-join at threshold β.
+        //
+        // Only tokens containing an alphabetic character are expanded:
+        // numeric tokens (street numbers, zip codes) are matched exactly.
+        // §1 of the paper motivates exactly this — "even small differences
+        // in the street numbers such as '148th Ave' and '147th Ave' are
+        // crucial" — and it keeps the dictionary join from degenerating on
+        // dense numeric vocabularies. Ids follow string order, so the
+        // dictionary is sorted.
+        let dict_ids: Vec<u32> = (0..self.tokens.len() as u32)
+            .filter(|&id| self.token(id).chars().any(char::is_alphabetic))
+            .collect();
+        let dict: Vec<String> = dict_ids
+            .iter()
+            .map(|&id| self.token(id).to_owned())
+            .collect();
+        let token_join =
+            edit_similarity_join(&dict, &dict, &EditJoinConfig::new(config.beta).with_q(2))?;
+        let mut similar: Vec<Vec<u32>> = vec![Vec::new(); self.tokens.len()];
+        for p in &token_join.pairs {
+            similar[dict_ids[p.r as usize] as usize].push(dict_ids[p.s as usize]);
+        }
+        let mut builder = SsJoinInputBuilder::new(WeightScheme::Idf, ElementOrder::FrequencyAsc);
+        let rh = self.add_expanded(&mut builder, &self.r, &similar);
+        let sh = match &self.s {
+            None => rh,
+            Some(s) => self.add_expanded(&mut builder, s, &similar),
+        };
+        let built = builder.build()?;
+        let prep = prep_start.elapsed();
+
+        let margin = (config.threshold - (1.0 - config.beta)).max(0.05);
+        let pred = OverlapPredicate::r_normalized(margin);
+        let ss_config = SsJoinConfig {
+            algorithm: config.algorithm,
+            exec: config.exec.clone(),
+        };
+        let mut out = ssjoin(
+            built.collection(rh),
+            built.collection(sh),
+            &pred,
+            &ss_config,
+        )?;
+        out.stats.add_time(Phase::Prep, prep);
+        Ok(out)
+    }
+
+    /// Add one side's rows, each token replaced by its dictionary neighbours
+    /// (`similar`; tokens without any stay as they are), sorted and
+    /// deduplicated.
+    fn add_expanded(
+        &self,
+        builder: &mut SsJoinInputBuilder,
+        lists: &TokenLists,
+        similar: &[Vec<u32>],
+    ) -> RelationHandle {
+        let mut expanded: Vec<u32> = Vec::new();
+        builder.add_relation_by(lists.rows() as usize, NormKind::TotalWeight, |i, emit| {
+            expanded.clear();
+            for &t in lists.row(i as u32) {
+                match similar[t as usize].as_slice() {
+                    [] => expanded.push(t),
+                    close => expanded.extend_from_slice(close),
+                }
+            }
+            expanded.sort_unstable();
+            expanded.dedup();
+            expanded.iter().for_each(|&t| emit(self.token(t)));
+        })
+    }
+
+    /// Verify `keys` with the exact GES UDF; keep the pairs at or above
+    /// `threshold` (less 1e-9 of float slack), in `keys`' order. Returns them
+    /// with the number of UDF calls.
+    fn verify(
+        &self,
+        keys: impl Iterator<Item = (u32, u32)>,
+        threshold: f64,
+    ) -> (Vec<MatchPair>, u64) {
+        let floor = threshold - 1e-9;
+        let mut scratch = GesScratch::default();
+        let s = self.s();
+        let pairs = keys
+            .filter_map(|(r, j)| {
+                ges_at_least(self.r.row(r), s.row(j), &self.table, floor, &mut scratch).map(
+                    |similarity| MatchPair {
+                        r,
+                        s: j,
+                        similarity,
+                    },
+                )
+            })
+            .collect();
+        (pairs, scratch.counters.calls)
+    }
 }
 
 #[cfg(test)]
@@ -350,6 +518,36 @@ mod tests {
         let none: Vec<String> = vec![];
         let out = ges_join(&none, &none, &GesJoinConfig::new(0.9)).unwrap();
         assert!(out.pairs.is_empty());
+    }
+
+    #[test]
+    fn filter_phase_counts_verification_of_every_candidate() {
+        let data: Vec<String> = (0..40)
+            .map(|i| format!("entity{} common suffix words", i % 13))
+            .collect();
+        let cfg = GesJoinConfig::new(0.85);
+        let out = ges_join(&data, &data, &cfg).unwrap();
+        let candidates = GesInput::new(&data, &data)
+            .unwrap()
+            .candidates(&cfg)
+            .unwrap();
+        assert!(!candidates.pairs.is_empty());
+        assert_eq!(out.udf_verifications, candidates.pairs.len() as u64);
+        assert!(out.stats.time(Phase::Filter) > std::time::Duration::ZERO);
+        assert!(out.stats.time(Phase::Prep) > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn row_counts_beyond_u32_are_a_typed_error() {
+        assert_eq!(check_rows(7, 0), Ok(7));
+        let too_many = u32::MAX as usize + 1;
+        assert_eq!(
+            check_rows(too_many, 1),
+            Err(SsJoinError::TooManyGroups {
+                relation: 1,
+                groups: too_many
+            })
+        );
     }
 
     #[test]

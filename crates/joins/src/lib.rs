@@ -47,7 +47,7 @@ pub use cooccurrence::{cooccurrence_join, CooccurrenceConfig};
 pub use cosine::{cosine_join, cosine_join_tokens, CosineConfig};
 pub use dedup::{dedup, Canonicalization, DedupResult, DedupSimilarity, DuplicateGroup};
 pub use edit::{edit_similarity_join, EditJoinConfig};
-pub use ges::{ges_join, GesJoinConfig};
+pub use ges::{ges_join, GesInput, GesJoinConfig};
 pub use hamming::{hamming_join, HammingJoinConfig};
 pub use jaccard::{jaccard_join, JaccardConfig, JaccardKind};
 pub use matcher::EditMatcher;

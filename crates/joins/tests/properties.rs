@@ -4,14 +4,16 @@
 //! driven by a seeded PRNG so every failure is reproducible from the
 //! iteration's seed.
 
+use ssjoin_baselines::naive_join;
 use ssjoin_core::{Algorithm, WeightScheme};
 use ssjoin_joins::{
-    edit_similarity_join, hamming_join, jaccard_join, soft_fd_join, EditJoinConfig, EditMatcher,
-    HammingJoinConfig, JaccardConfig, SoftFdConfig,
+    edit_similarity_join, ges_join, hamming_join, jaccard_join, soft_fd_join, EditJoinConfig,
+    EditMatcher, GesJoinConfig, HammingJoinConfig, JaccardConfig, SoftFdConfig,
 };
 use ssjoin_prng::{Rng, StdRng};
-use ssjoin_sim::{edit_similarity, hamming_distance, jaccard_resemblance};
+use ssjoin_sim::{edit_similarity, ges, hamming_distance, jaccard_resemblance, GesConfig};
 use ssjoin_text::{Tokenizer, WordTokenizer};
+use std::collections::HashMap;
 
 /// A random string over `pool` with length in `0..=max_len`.
 fn random_string(rng: &mut StdRng, pool: &[char], max_len: usize) -> String {
@@ -170,4 +172,93 @@ fn soft_fd_exact() {
         let out = soft_fd_join(&rows, &rows, &SoftFdConfig::new(k)).unwrap();
         assert_eq!(out.keys(), expect, "seed {seed} k {k}");
     }
+}
+
+/// 1–11 rows of 0–5 words: address words with typo variants, numbers, and
+/// random short words, in mixed case.
+fn random_words_corpus(rng: &mut StdRng) -> Vec<String> {
+    const POOL: [&str; 14] = [
+        "main", "mian", "Main", "street", "streat", "st", "oak", "oaks", "avenue", "avenu", "100",
+        "101", "apt", "suite",
+    ];
+    let n = rng.gen_range(1usize..12);
+    (0..n)
+        .map(|_| {
+            let words = rng.gen_range_inclusive(0..=5usize);
+            (0..words)
+                .map(|_| {
+                    if rng.gen_bool(0.2) {
+                        random_string(rng, &['a', 'b', 'c'], 5)
+                    } else {
+                        POOL[rng.gen_index(POOL.len())].to_string()
+                    }
+                })
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect()
+}
+
+/// The exhaustive GES join is the naive cross product with the `ges` UDF at
+/// the same IDF weights — pairs and similarity bits — and every filtered
+/// join (Basic, Inline, Partition) returns a subset of it with the same
+/// bits. Self-joins and two-relation joins both.
+#[test]
+fn ges_join_matches_naive_oracle() {
+    let mut inexact = 0;
+    for seed in 0..48u64 {
+        let mut rng = StdRng::seed_from_u64(0x6E5A + seed);
+        let r = random_words_corpus(&mut rng);
+        let other = random_words_corpus(&mut rng);
+        let theta = 0.5 + 0.5 * rng.gen_f64();
+        for s in [&r, &other] {
+            let tok = WordTokenizer::new().lowercased();
+            let words = |xs: &[String]| -> Vec<Vec<String>> {
+                xs.iter().map(|x| tok.tokenize(x)).collect()
+            };
+            let (rw, sw) = (words(&r), words(s));
+            // IDF over R and S together: ln(1 + N / f_t), N = |R| + |S|.
+            let n = (r.len() + s.len()) as f64;
+            let mut freq: HashMap<&str, usize> = HashMap::new();
+            for row in rw.iter().chain(&sw) {
+                let mut seen: Vec<&str> = Vec::new();
+                for t in row {
+                    if !seen.contains(&t.as_str()) {
+                        seen.push(t);
+                        *freq.entry(t).or_insert(0) += 1;
+                    }
+                }
+            }
+            let weight = |t: &str| (1.0 + n / freq[t] as f64).ln();
+            let (expect, _) = naive_join(&rw, &sw, theta, |a, b| {
+                ges(a, b, &weight, GesConfig::default())
+            });
+            let bits = |v: Vec<(u32, u32, f64)>| -> Vec<(u32, u32, u64)> {
+                v.into_iter().map(|(i, j, g)| (i, j, g.to_bits())).collect()
+            };
+            let expect = bits(expect);
+            inexact += expect.iter().filter(|p| p.2 != 1f64.to_bits()).count();
+            let got = |cfg: &GesJoinConfig| -> Vec<(u32, u32, u64)> {
+                let out = ges_join(&r, s, cfg).unwrap();
+                out.pairs
+                    .iter()
+                    .map(|p| (p.r, p.s, p.similarity.to_bits()))
+                    .collect()
+            };
+            let ctx = format!("seed {seed} theta {theta} self {}", std::ptr::eq(s, &r));
+            assert_eq!(
+                got(&GesJoinConfig::new(theta).exhaustive()),
+                expect,
+                "{ctx}"
+            );
+            for alg in [Algorithm::Basic, Algorithm::Inline, Algorithm::Partition] {
+                for p in got(&GesJoinConfig::new(theta).with_algorithm(alg)) {
+                    assert!(expect.contains(&p), "{ctx} alg {alg:?}: {p:?}");
+                }
+            }
+        }
+    }
+    // Pairs below similarity 1 occur, so the bits compared above include
+    // real token edits, not only identical rows.
+    assert!(inexact > 0);
 }

@@ -16,16 +16,19 @@
 pub fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
-    levenshtein_chars(&a, &b)
+    levenshtein_chars(&a, &b, &mut Vec::new())
 }
 
-pub(crate) fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
+/// [`levenshtein`] over char slices, with `row` as the dynamic program's
+/// only buffer (a caller computing many distances passes the same one).
+pub(crate) fn levenshtein_chars(a: &[char], b: &[char], row: &mut Vec<usize>) -> usize {
     // Iterate over the longer string, keep the row for the shorter one.
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if short.is_empty() {
         return long.len();
     }
-    let mut row: Vec<usize> = (0..=short.len()).collect();
+    row.clear();
+    row.extend(0..=short.len());
     for (i, &lc) in long.iter().enumerate() {
         let mut prev_diag = row[0];
         row[0] = i + 1;

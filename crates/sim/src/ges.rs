@@ -15,8 +15,32 @@
 //! cheap to edit) with intra-token edit distance (so "microsoft" ≈
 //! "microsft"), which fixes the failure modes of plain edit distance and
 //! plain Jaccard that §3.3 describes.
+//!
+//! # Prepared verification
+//!
+//! A join verifies many candidate pairs over one vocabulary, so it interns
+//! each distinct token once into a [`GesTable`] (its weight and its
+//! characters, by dense id) and verifies id sequences with
+//! [`ges_at_least`], which reuses its buffers across calls. Three exact
+//! prunings leave every result bit-for-bit equal to the plain dynamic
+//! program; the last two need every weight finite and non-negative, which
+//! the table checks as tokens are pushed:
+//!
+//! * equal ids replace at cost `prev_diag + 0.0·w`, with no token edit
+//!   distance computed;
+//! * a replacement whose lower bound — the length difference standing in
+//!   for the token edit distance — already reaches the cheaper of delete and
+//!   insert cannot lower the cell, so its token edit distance is skipped
+//!   (IEEE division, multiplication and addition by non-negative numbers are
+//!   monotone);
+//! * every cell is at least the minimum of the row above it, so once a row's
+//!   minimum puts GES below the caller's floor, the call ends.
+//!
+//! [`ges`] and [`ges_symmetric`] intern their two sequences and run the same
+//! dynamic program with no floor.
 
 use crate::edit::levenshtein_chars;
+use std::collections::HashMap;
 
 /// Configuration for the GES computation.
 #[derive(Debug, Clone, Copy, Default)]
@@ -27,6 +51,94 @@ pub struct GesConfig {
     pub replacement_cutoff: Option<f64>,
 }
 
+/// The token side of a prepared GES verification: for each dense token id,
+/// the token's weight and its characters, stored once in a flat arena.
+///
+/// The `k`-th [`GesTable::push`] defines token id `k`. Push each distinct
+/// token once: equal ids are what lets [`ges_at_least`] skip the token edit
+/// distance of a repeated token.
+#[derive(Debug, Clone)]
+pub struct GesTable {
+    config: GesConfig,
+    weights: Vec<f64>,
+    /// Token `k`'s characters are `chars[starts[k]..starts[k + 1]]`.
+    starts: Vec<usize>,
+    chars: Vec<char>,
+    /// Every weight is finite and non-negative, so every DP cost is too; the
+    /// length and row bounds hold only then.
+    prunable: bool,
+}
+
+impl GesTable {
+    /// An empty table whose verifications use `config`.
+    pub fn new(config: GesConfig) -> Self {
+        Self {
+            config,
+            weights: Vec::new(),
+            starts: vec![0],
+            chars: Vec::new(),
+            prunable: true,
+        }
+    }
+
+    /// Append `token` with `weight` under the next id, [`GesTable::len`].
+    pub fn push(&mut self, token: &str, weight: f64) {
+        self.weights.push(weight);
+        self.chars.extend(token.chars());
+        self.starts.push(self.chars.len());
+        self.prunable &= weight.is_finite() && weight >= 0.0;
+    }
+
+    /// Number of tokens.
+    pub fn len(&self) -> usize {
+        self.weights.len()
+    }
+
+    /// Whether the table holds no token.
+    pub fn is_empty(&self) -> bool {
+        self.weights.is_empty()
+    }
+
+    /// The weight of token `id`.
+    ///
+    /// # Panics
+    ///
+    /// If `id` is not below [`GesTable::len`].
+    pub fn weight(&self, id: u32) -> f64 {
+        self.weights[id as usize]
+    }
+
+    fn chars(&self, id: u32) -> &[char] {
+        let k = id as usize;
+        &self.chars[self.starts[k]..self.starts[k + 1]]
+    }
+}
+
+/// The reusable buffers of [`ges_at_least`], with counters of the work its
+/// calls did and skipped.
+#[derive(Debug, Clone, Default)]
+pub struct GesScratch {
+    row: Vec<f64>,
+    ed_row: Vec<usize>,
+    /// Summed over every call made with this scratch.
+    pub counters: GesCounters,
+}
+
+/// What [`ges_at_least`] computed and what its exact prunings skipped.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GesCounters {
+    /// Calls.
+    pub calls: u64,
+    /// Token pairs whose edit distance was computed.
+    pub token_eds: u64,
+    /// Token pairs whose replacement the length bound ruled out, with no
+    /// token edit distance computed.
+    pub length_skips: u64,
+    /// Calls ended by a DP row whose minimum already put GES below the
+    /// floor.
+    pub row_exits: u64,
+}
+
 /// Generalized edit similarity of token sequence `a` into token sequence `b`
 /// under the token weight function `weight`.
 ///
@@ -34,17 +146,8 @@ pub struct GesConfig {
 /// `a`'s token set, exactly as Definition 6 states. See [`ges_symmetric`] for
 /// the symmetric variant.
 pub fn ges(a: &[String], b: &[String], weight: &dyn Fn(&str) -> f64, config: GesConfig) -> f64 {
-    let wa: f64 = a.iter().map(|t| weight(t)).sum();
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if wa == 0.0 {
-        // Nothing to normalize by: degenerate source. Any needed insertion
-        // makes the min(..., 1.0) clamp kick in unless b is empty too.
-        return if b.is_empty() { 1.0 } else { 0.0 };
-    }
-    let cost = transformation_cost(a, b, weight, config);
-    1.0 - (cost / wa).min(1.0)
+    let (table, a, b) = intern_pair(a, b, weight, config);
+    ges_full(&a, &b, &table, &mut GesScratch::default())
 }
 
 /// Symmetric GES: `max(GES(a → b), GES(b → a))`.
@@ -54,56 +157,148 @@ pub fn ges_symmetric(
     weight: &dyn Fn(&str) -> f64,
     config: GesConfig,
 ) -> f64 {
-    ges(a, b, weight, config).max(ges(b, a, weight, config))
+    let (table, a, b) = intern_pair(a, b, weight, config);
+    let mut scratch = GesScratch::default();
+    ges_full(&a, &b, &table, &mut scratch).max(ges_full(&b, &a, &table, &mut scratch))
+}
+
+/// GES of `a` into `b` with no floor: nothing is below −∞, so the call never
+/// exits early.
+fn ges_full(a: &[u32], b: &[u32], table: &GesTable, scratch: &mut GesScratch) -> f64 {
+    ges_at_least(a, b, table, f64::NEG_INFINITY, scratch).unwrap_or(0.0)
+}
+
+/// Intern the tokens of `a` and `b` into one table, each distinct token once.
+fn intern_pair(
+    a: &[String],
+    b: &[String],
+    weight: &dyn Fn(&str) -> f64,
+    config: GesConfig,
+) -> (GesTable, Vec<u32>, Vec<u32>) {
+    let mut table = GesTable::new(config);
+    let mut ids: HashMap<&str, u32> = HashMap::new();
+    let [a, b] = [a, b].map(|seq| -> Vec<u32> {
+        seq.iter()
+            .map(|t| {
+                *ids.entry(t).or_insert_with(|| {
+                    table.push(t, weight(t));
+                    (table.len() - 1) as u32
+                })
+            })
+            .collect()
+    });
+    (table, a, b)
+}
+
+/// GES of token-id sequence `a` into `b` over `table` if it is at least
+/// `floor`, else `None`. A `Some` is bit-for-bit the value [`ges`] computes
+/// for the same tokens and weights; a `None` may come before the dynamic
+/// program ends, once a row shows the result must fall below `floor`.
+///
+/// # Panics
+///
+/// If an id is not below `table.len()`.
+pub fn ges_at_least(
+    a: &[u32],
+    b: &[u32],
+    table: &GesTable,
+    floor: f64,
+    scratch: &mut GesScratch,
+) -> Option<f64> {
+    scratch.counters.calls += 1;
+    let wa: f64 = a.iter().map(|&t| table.weight(t)).sum();
+    let g = if a.is_empty() && b.is_empty() {
+        1.0
+    } else if wa == 0.0 {
+        // Nothing to normalize by: degenerate source. Any needed insertion
+        // makes the min(..., 1.0) clamp kick in unless b is empty too.
+        if b.is_empty() {
+            1.0
+        } else {
+            0.0
+        }
+    } else {
+        let cost = transformation_cost(a, b, table, wa, floor, scratch)?;
+        1.0 - (cost / wa).min(1.0)
+    };
+    (g >= floor).then_some(g)
 }
 
 /// Minimum-cost transformation of token sequence `a` into `b`:
 /// sequence-alignment dynamic program with
 /// delete(t) = wt(t), insert(t) = wt(t), replace(t1 → t2) = ed(t1,t2)·wt(t1).
+/// `None` once a row's minimum puts GES (normalized by `wa`) below `floor`.
 fn transformation_cost(
-    a: &[String],
-    b: &[String],
-    weight: &dyn Fn(&str) -> f64,
-    config: GesConfig,
-) -> f64 {
-    let a_chars: Vec<Vec<char>> = a.iter().map(|t| t.chars().collect()).collect();
-    let b_chars: Vec<Vec<char>> = b.iter().map(|t| t.chars().collect()).collect();
-    let a_w: Vec<f64> = a.iter().map(|t| weight(t)).collect();
-    let b_w: Vec<f64> = b.iter().map(|t| weight(t)).collect();
-
-    let (m, n) = (a.len(), b.len());
-    let mut row: Vec<f64> = Vec::with_capacity(n + 1);
+    a: &[u32],
+    b: &[u32],
+    t: &GesTable,
+    wa: f64,
+    floor: f64,
+    scratch: &mut GesScratch,
+) -> Option<f64> {
+    let GesScratch {
+        row,
+        ed_row,
+        counters,
+    } = scratch;
+    let cutoff = t.config.replacement_cutoff;
+    let row_exit = t.prunable && floor > f64::NEG_INFINITY;
+    row.clear();
     row.push(0.0);
-    for j in 0..n {
-        row.push(row[j] + b_w[j]); // insert b[0..j]
+    for (j, &tb) in b.iter().enumerate() {
+        row.push(row[j] + t.weight(tb)); // insert b[0..j]
     }
-    for i in 0..m {
+    for &ta in a {
+        let (w, ca) = (t.weight(ta), t.chars(ta));
         let mut prev_diag = row[0];
-        row[0] += a_w[i]; // delete a[0..=i]
-        for j in 0..n {
-            let ned = normalized_token_ed(&a_chars[i], &b_chars[j]);
-            let replace_ok = config.replacement_cutoff.is_none_or(|cut| ned <= cut);
-            let replace = if replace_ok {
-                prev_diag + ned * a_w[i]
+        row[0] += w; // delete a[0..=i]
+        let mut row_min = row[0];
+        for (j, &tb) in b.iter().enumerate() {
+            let delete = row[j + 1] + w;
+            let insert = row[j] + t.weight(tb);
+            let ned = if ta == tb {
+                Some(0.0)
             } else {
-                f64::INFINITY
+                let cb = t.chars(tb);
+                let max = ca.len().max(cb.len()) as f64;
+                // The token edit distance is at least the length difference:
+                // if replacing at that bound cannot beat deleting or
+                // inserting, skip the edit distance.
+                let lower = ca.len().abs_diff(cb.len()) as f64 / max;
+                if t.prunable && prev_diag + lower * w >= delete.min(insert) {
+                    counters.length_skips += 1;
+                    None
+                } else {
+                    counters.token_eds += 1;
+                    Some(normalized_ed(ca, cb, ed_row))
+                }
             };
-            let delete = row[j + 1] + a_w[i];
-            let insert = row[j] + b_w[j];
+            let replace = match ned {
+                Some(ned) if cutoff.is_none_or(|cut| ned <= cut) => prev_diag + ned * w,
+                _ => f64::INFINITY,
+            };
             let val = replace.min(delete).min(insert);
             prev_diag = row[j + 1];
             row[j + 1] = val;
+            row_min = row_min.min(val);
+        }
+        // Costs are non-negative, so no later cell drops below `row_min`.
+        if row_exit && 1.0 - (row_min / wa).min(1.0) < floor {
+            counters.row_exits += 1;
+            return None;
         }
     }
-    row[n]
+    Some(row[b.len()])
 }
 
-fn normalized_token_ed(a: &[char], b: &[char]) -> f64 {
+/// Levenshtein distance of `a` and `b` over `max(|a|, |b|)`, 0 for two
+/// empty tokens.
+fn normalized_ed(a: &[char], b: &[char], row: &mut Vec<usize>) -> f64 {
     let max = a.len().max(b.len());
     if max == 0 {
         return 0.0;
     }
-    levenshtein_chars(a, b) as f64 / max as f64
+    levenshtein_chars(a, b, row) as f64 / max as f64
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ pub use edit::{
     edit_similarity, edit_similarity_at_least, levenshtein, levenshtein_within,
     normalized_edit_distance,
 };
-pub use ges::{ges, ges_symmetric, GesConfig};
+pub use ges::{ges, ges_at_least, ges_symmetric, GesConfig, GesCounters, GesScratch, GesTable};
 pub use hamming::{hamming_distance, hamming_similarity};
 pub use jaro::{jaro, jaro_winkler};
 pub use monge_elkan::{monge_elkan, monge_elkan_symmetric};

@@ -4,6 +4,7 @@
 use ssjoin_prng::{Rng, StdRng};
 use ssjoin_sim::*;
 use ssjoin_text::{QGramTokenizer, Tokenizer};
+use std::collections::HashMap;
 
 /// A random lowercase string over the first `alphabet` letters with length
 /// in `lo..=hi`.
@@ -195,6 +196,127 @@ fn ges_one_means_equal() {
             assert_eq!(a, b, "seed {seed}");
         }
     }
+}
+
+/// Textbook GES (Definition 6): the full `(m+1)×(n+1)` cost matrix, token
+/// edit distances from `normalized_edit_distance`. The reference the
+/// prepared, pruned dynamic program is checked against.
+fn ges_oracle(a: &[String], b: &[String], w: &dyn Fn(&str) -> f64, cutoff: Option<f64>) -> f64 {
+    let wa: f64 = a.iter().map(|t| w(t)).sum();
+    if a.is_empty() && b.is_empty() {
+        return 1.0;
+    }
+    if wa == 0.0 {
+        return if b.is_empty() { 1.0 } else { 0.0 };
+    }
+    let (m, n) = (a.len(), b.len());
+    let mut c = vec![vec![0.0f64; n + 1]; m + 1];
+    for j in 1..=n {
+        c[0][j] = c[0][j - 1] + w(&b[j - 1]);
+    }
+    for i in 1..=m {
+        c[i][0] = c[i - 1][0] + w(&a[i - 1]);
+        for j in 1..=n {
+            let ned = normalized_edit_distance(&a[i - 1], &b[j - 1]);
+            let replace = if cutoff.is_none_or(|cut| ned <= cut) {
+                c[i - 1][j - 1] + ned * w(&a[i - 1])
+            } else {
+                f64::INFINITY
+            };
+            let delete = c[i - 1][j] + w(&a[i - 1]);
+            let insert = c[i][j - 1] + w(&b[j - 1]);
+            c[i][j] = replace.min(delete).min(insert);
+        }
+    }
+    1.0 - (c[m][n] / wa).min(1.0)
+}
+
+/// `ges_at_least` and the `ges`/`ges_symmetric` adapters agree bit for bit
+/// with the textbook DP, and `ges_at_least` answers `None` exactly when the
+/// oracle is below the floor. Sequences cover empty sequences, empty and
+/// repeated tokens; weights cover ties, zero-weight sources and (with the
+/// prunings off) negative weights; the replacement cutoff is on and off; the
+/// floors are random, at the oracle's value and just above it.
+#[test]
+fn ges_prepared_matches_oracle() {
+    let mut total = GesCounters::default();
+    for seed in 0..2048u64 {
+        let mut rng = StdRng::seed_from_u64(0x6E50 + seed);
+        let token = |rng: &mut StdRng| random_lower(rng, 3, 0, 6);
+        let seq = |rng: &mut StdRng| -> Vec<String> {
+            let n = rng.gen_range_inclusive(0..=6usize);
+            let mut v: Vec<String> = (0..n).map(|_| token(rng)).collect();
+            if n > 1 && rng.gen_bool(0.3) {
+                v[n - 1] = v[0].clone();
+            }
+            v
+        };
+        let (a, b) = (seq(&mut rng), seq(&mut rng));
+        // One weight per distinct token, drawn from a few styles.
+        let style = rng.gen_range(0u8..5);
+        let mut weights: HashMap<String, f64> = HashMap::new();
+        for t in a.iter().chain(&b) {
+            let w = match style {
+                0 => 1.0,
+                1 => [0.5, 1.0, 2.0][rng.gen_index(3)],
+                2 if a.contains(t) => 0.0,
+                3 => rng.gen_f64() * 4.0,
+                4 => rng.gen_f64() * 2.0 - 0.5,
+                _ => 1.5,
+            };
+            weights.entry(t.clone()).or_insert(w);
+        }
+        let wf = |t: &str| weights[t];
+        let cutoff = rng.gen_bool(0.3).then(|| rng.gen_f64());
+        let config = GesConfig {
+            replacement_cutoff: cutoff,
+        };
+        let want = ges_oracle(&a, &b, &wf, cutoff);
+        let back = ges_oracle(&b, &a, &wf, cutoff);
+        assert_eq!(
+            ges(&a, &b, &wf, config).to_bits(),
+            want.to_bits(),
+            "seed {seed}"
+        );
+        assert_eq!(
+            ges_symmetric(&a, &b, &wf, config).to_bits(),
+            want.max(back).to_bits(),
+            "seed {seed}"
+        );
+
+        let mut table = GesTable::new(config);
+        let mut ids: HashMap<&str, u32> = HashMap::new();
+        let [ai, bi] = [&a, &b].map(|seq| -> Vec<u32> {
+            seq.iter()
+                .map(|t| {
+                    *ids.entry(t.as_str()).or_insert_with(|| {
+                        table.push(t, wf(t));
+                        (table.len() - 1) as u32
+                    })
+                })
+                .collect()
+        });
+        let mut scratch = GesScratch::default();
+        let above = f64::from_bits(want.to_bits() + 1);
+        for floor in [rng.gen_f64() * 1.2 - 0.1, want, above, f64::NEG_INFINITY] {
+            match ges_at_least(&ai, &bi, &table, floor, &mut scratch) {
+                Some(g) => {
+                    assert_eq!(g.to_bits(), want.to_bits(), "seed {seed} floor {floor}");
+                    assert!(want >= floor, "seed {seed} floor {floor}");
+                }
+                None => assert!(want < floor, "seed {seed} floor {floor}: {want}"),
+            }
+        }
+        let c = scratch.counters;
+        total.calls += c.calls;
+        total.token_eds += c.token_eds;
+        total.length_skips += c.length_skips;
+        total.row_exits += c.row_exits;
+    }
+    // Every pruning ran, so the agreement above covers it.
+    assert!(total.length_skips > 0, "{total:?}");
+    assert!(total.row_exits > 0, "{total:?}");
+    assert!(total.token_eds > 0, "{total:?}");
 }
 
 /// Hamming distance: defined iff equal length; symmetric; bounded.
